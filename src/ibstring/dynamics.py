@@ -17,13 +17,12 @@ from .curve import (
     CurveState,
     DegenerateCurveError,
     OrientationError,
-    effective_radius,
     elastic_energy,
     enclosed_area,
     well_stretched_constant,
 )
 from .equilibrium import closest_equilibrium, fit_distance
-from .spectral import GridField, dealias
+from .spectral import GridField, NonFiniteFieldError, dealias
 from .stokeslet import dissipation_rate, nonstiff_forcing, on_curve_velocity
 
 __all__ = [
@@ -182,7 +181,7 @@ def diagnostics_row(t: float, X: CurveState, u: GridField) -> DiagnosticsRow:
         energy=elastic_energy(X),
         dissipation=dissipation_rate(X, u),
         well_stretched=well_stretched_constant(X),
-        radius=effective_radius(X),
+        radius=fit.radius,
         area=enclosed_area(X),
         dist_h1=fit_distance(X, fit, 1.0),
         dist_h52=fit_distance(X, fit, 2.5),
@@ -238,7 +237,7 @@ def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
                 X = CurveState(dealias(X.x, cfg.dealias_cutoff, cfg.krasny_floor))
         except DegenerateCurveError as exc:
             raise LambdaAbortError(t + cfg.dt, 0.0, threshold, rows) from exc
-        except ValueError as exc:  # GridField rejects non-finite samples
+        except NonFiniteFieldError as exc:
             raise NonFiniteError(t + cfg.dt, rows) from exc
         if (step + 1) % cfg.snapshot_every == 0:
             snapshots.append((step + 1, (step + 1) * cfg.dt, X))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NonFiniteFieldError",
     "GridField",
     "SpectralField",
     "to_spectral",
@@ -28,6 +29,10 @@ __all__ = [
     "dealias",
     "mean",
 ]
+
+
+class NonFiniteFieldError(ValueError):
+    """Field samples contain NaN or infinity."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,7 @@ class GridField:
         if n < 8 or n % 2 != 0:
             raise ValueError(f"N must be even and >= 8, got {n}")
         if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite entries")
+            raise NonFiniteFieldError("field contains non-finite entries")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveState, DegenerateCurveError, diff_quotients, _wrap
+from .curve import CurveState, DegenerateCurveError, diff_quotients, _pair_blocks, _wrap
 from .spectral import GridField, fractional_laplacian_half
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "pressure_kernel",
     "velocity_integrand",
     "on_curve_velocity",
-    "on_curve_velocity_zero_gauge",
     "off_curve_velocity",
     "pressure_at",
     "sample_flow",
@@ -101,99 +100,43 @@ def velocity_integrand(X: CurveState, j: int, jp: int) -> np.ndarray:
     return term / _FOUR_PI
 
 
-_TAU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _tau_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair offset matrix tau[j, j'] in [-pi, pi) and its safe reciprocal.
-
-    Depends only on the grid size, so it is cached (diagonal of the
-    reciprocal holds 1.0 as a placeholder; callers overwrite the diagonal).
-    """
-    cached = _TAU_CACHE.get(n)
-    if cached is None:
-        s = 2.0 * np.pi * np.arange(n) / n
-        tau = _wrap(s[None, :] - s[:, None])
-        np.fill_diagonal(tau, 0.0)
-        inv = tau.copy()
-        np.fill_diagonal(inv, 1.0)
-        inv = 1.0 / inv
-        tau.flags.writeable = False
-        inv.flags.writeable = False
-        cached = (tau, inv)
-        _TAU_CACHE[n] = cached
-    return cached
-
-
-def _pair_components(X: CurveState):
-    """Component (N,N) arrays of the chord and derivative slopes L and M.
-
-    Diagonal entries carry the analytic limits L = X', M = X''. Components
-    are kept as separate float matrices: the pairwise kernels below are
-    memory-bound, and this layout roughly halves their cost versus (N,N,2)
-    stacking.
-    """
-    v, vp, vpp = X.x.values, X.xp.values, X.xpp.values
-    n = X.n
-    inv_tau = _tau_arrays(n)[1]
-    idx = np.arange(n)
-    Lx = (v[None, :, 0] - v[:, None, 0]) * inv_tau
-    Ly = (v[None, :, 1] - v[:, None, 1]) * inv_tau
-    Mx = (vp[None, :, 0] - vp[:, None, 0]) * inv_tau
-    My = (vp[None, :, 1] - vp[:, None, 1]) * inv_tau
-    Lx[idx, idx] = vp[:, 0]
-    Ly[idx, idx] = vp[:, 1]
-    Mx[idx, idx] = vpp[:, 0]
-    My[idx, idx] = vpp[:, 1]
-    L2 = Lx * Lx + Ly * Ly
-    if float(L2.min()) <= 0.0:
-        raise DegenerateCurveError("coincident samples: curve degenerate at grid resolution")
-    return Lx, Ly, Mx, My, L2
-
-
 def on_curve_velocity(X: CurveState) -> GridField:
     """String velocity u(X(s_j)) by periodic trapezoid over all samples.
 
     The integrand is smooth across the diagonal, so the rule is spectrally
-    accurate; this is the full right-hand side of the contour dynamics.
+    accurate; this is the full right-hand side of the contour dynamics. The
+    pass runs over row blocks of the pair matrices and leaves the
+    well-stretched constant memoized on X.
     """
-    Lx, Ly, Mx, My, L2 = _pair_components(X)
     vp, vpp = X.xp.values, X.xpp.values
-    ax = vp[:, 0][None, :]
-    ay = vp[:, 1][None, :]
-    inv = 1.0 / L2
-    La = (Lx * ax + Ly * ay) * inv
-    LM = (Lx * Mx + Ly * My) * inv
-    aM = (ax * Mx + ay * My) * inv
-    c4 = 2.0 * La * LM
-    ux = La * Mx - LM * ax - aM * Lx + c4 * Lx
-    uy = La * My - LM * ay - aM * Ly + c4 * Ly
-    idx = np.arange(X.n)
-    ux[idx, idx] = vpp[:, 0]  # removable-singularity limit (X''/4pi after scaling)
-    uy[idx, idx] = vpp[:, 1]
-    u = X.h * np.stack([ux.sum(axis=1), uy.sum(axis=1)], axis=1) / _FOUR_PI
-    return GridField(u)
-
-
-def on_curve_velocity_zero_gauge(X: CurveState) -> GridField:
-    """On-curve velocity in the zero-constant gauge, diagonal excluded.
-
-    Integrand (1/4pi)[-|X'(s')|^2/|w|^2 + 2(w.X'(s'))^2/|w|^4] w with
-    w = X(s') - X(s). Symmetric exclusion of the principal value leaves an
-    O(h) quadrature error; agreement with on_curve_velocity under refinement
-    realizes the vanishing of the excluded principal-value kernel integral.
-    """
-    v, vp = X.x.values, X.xp.values
-    n = X.n
-    w = v[None, :, :] - v[:, None, :]
-    r2 = np.einsum("ijk,ijk->ij", w, w)
-    np.fill_diagonal(r2, 1.0)
-    a2 = np.einsum("ij,ij->i", vp, vp)
-    wa = np.einsum("ijk,jk->ij", w, vp)
-    coeff = -a2[None, :] / r2 + 2.0 * wa**2 / r2**2
-    np.fill_diagonal(coeff, 0.0)
-    u = X.h * np.einsum("ij,ijk->ik", coeff, w) / _FOUR_PI
-    return GridField(u)
+    ax, ay = vp[:, 0], vp[:, 1]
+    u = np.empty((X.n, 2))
+    for rows, diag, Lx, Ly, Mx, My, L2, _, _ in _pair_blocks(X):
+        # La M - LM a - aM L with La = (L.a)/|L|^2, LM = (L.M)/|L|^2 and
+        # aM = (a.M)/|L|^2 - 2 La LM; formed in place, since the pass is
+        # memory-bound and each (rows, N) temporary should be written once
+        inv = 1.0 / L2
+        La = Lx * ax
+        La += Ly * ay
+        La *= inv
+        LM = Lx * Mx
+        LM += Ly * My
+        LM *= inv
+        aM = ax * Mx
+        aM += ay * My
+        aM *= inv
+        aM -= 2.0 * La * LM
+        ux = La * Mx
+        ux -= LM * ax
+        ux -= aM * Lx
+        uy = La * My
+        uy -= LM * ay
+        uy -= aM * Ly
+        ux[diag] = vpp[rows, 0]  # removable-singularity limit (X''/4pi after scaling)
+        uy[diag] = vpp[rows, 1]
+        u[rows, 0] = ux.sum(axis=1)
+        u[rows, 1] = uy.sum(axis=1)
+    return GridField(X.h * u / _FOUR_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -406,40 +349,39 @@ def forcing_derivative_quadrature(X: CurveState) -> GridField:
     rule is spectrally accurate; cross-checks the spectral derivative of
     nonstiff_forcing.
     """
-    Lx, Ly, Mx, My, L2 = _pair_components(X)
-    n = X.n
     vp = X.xp.values
-    tau, inv_tau = _tau_arrays(n)
-    ax = vp[:, 0][None, :]
-    ay = vp[:, 1][None, :]
-    bx = vp[:, 0][:, None]
-    by = vp[:, 1][:, None]
-    # N = (L - X'(s))/tau off the diagonal (diagonal is overwritten to zero)
-    Nx = (Lx - bx) * inv_tau
-    Ny = (Ly - by) * inv_tau
-    inv = 1.0 / L2
-    LM = Lx * Mx + Ly * My
-    LN = Lx * Nx + Ly * Ny
-    La = Lx * ax + Ly * ay
-    Lb = Lx * bx + Ly * by
-    NM = Nx * Mx + Ny * My
-    Na = Nx * ax + Ny * ay
-    MM = Mx * Mx + My * My
-    bLN = (bx - Lx) * Nx + (by - Ly) * Ny
-    f = _tau_factor(tau)
-    c_M = bLN * inv - 2.0 * LN * Lb * inv**2 - f
-    c_b = (MM - 2.0 * NM) * inv + 2.0 * LN * LM * inv**2
-    c_L = (
-        2.0 * LM * (LM - LN) * Lb * inv**3
-        + 2.0 * (NM - MM) * Lb * inv**2
-        - 6.0 * LM * La * LN * inv**3
-        + 2.0 * NM * La * inv**2
-        + 2.0 * LM * Na * inv**2
-    )
-    c_N = 2.0 * LM * La * inv**2
-    gx = c_M * Mx + c_b * bx + c_L * Lx + c_N * Nx
-    gy = c_M * My + c_b * by + c_L * Ly + c_N * Ny
-    idx = np.arange(n)
-    gx[idx, idx] = 0.0  # continuous limit of the integrand at the diagonal
-    gy[idx, idx] = 0.0
-    return GridField(X.h * np.stack([gx.sum(axis=1), gy.sum(axis=1)], axis=1) / _FOUR_PI)
+    ax, ay = vp[:, 0], vp[:, 1]
+    g = np.empty((X.n, 2))
+    for rows, diag, Lx, Ly, Mx, My, L2, tau, inv_tau in _pair_blocks(X):
+        bx = vp[rows, 0, None]
+        by = vp[rows, 1, None]
+        # N = (L - X'(s))/tau off the diagonal (diagonal is overwritten to zero)
+        Nx = (Lx - bx) * inv_tau
+        Ny = (Ly - by) * inv_tau
+        inv = 1.0 / L2
+        LM = Lx * Mx + Ly * My
+        LN = Lx * Nx + Ly * Ny
+        La = Lx * ax + Ly * ay
+        Lb = Lx * bx + Ly * by
+        NM = Nx * Mx + Ny * My
+        Na = Nx * ax + Ny * ay
+        MM = Mx * Mx + My * My
+        bLN = (bx - Lx) * Nx + (by - Ly) * Ny
+        f = _tau_factor(tau)
+        c_M = bLN * inv - 2.0 * LN * Lb * inv**2 - f
+        c_b = (MM - 2.0 * NM) * inv + 2.0 * LN * LM * inv**2
+        c_L = (
+            2.0 * LM * (LM - LN) * Lb * inv**3
+            + 2.0 * (NM - MM) * Lb * inv**2
+            - 6.0 * LM * La * LN * inv**3
+            + 2.0 * NM * La * inv**2
+            + 2.0 * LM * Na * inv**2
+        )
+        c_N = 2.0 * LM * La * inv**2
+        gx = c_M * Mx + c_b * bx + c_L * Lx + c_N * Nx
+        gy = c_M * My + c_b * by + c_L * Ly + c_N * Ny
+        gx[diag] = 0.0  # continuous limit of the integrand at the diagonal
+        gy[diag] = 0.0
+        g[rows, 0] = gx.sum(axis=1)
+        g[rows, 1] = gy.sum(axis=1)
+    return GridField(X.h * g / _FOUR_PI)

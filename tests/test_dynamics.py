@@ -1,11 +1,19 @@
 """Time steppers and the run loop with its diagnostics and abort guards."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from ibstring import (
+    DiagnosticsRow,
     PerturbationMode,
     StepperConfig,
+    closest_equilibrium,
+    dissipation_rate,
+    effective_radius,
+    elastic_energy,
+    enclosed_area,
     make_circle,
     make_perturbed_circle,
     make_reparam_circle,
@@ -16,8 +24,11 @@ from ibstring import (
     semigroup_apply,
     step_exp_euler,
     step_rk4,
+    well_stretched_constant,
 )
-from ibstring.dynamics import LambdaAbortError, NonFiniteError, _phi1
+from ibstring import dynamics
+from ibstring.dynamics import LambdaAbortError, NonFiniteError, _phi1, diagnostics_row
+from ibstring.equilibrium import fit_distance
 from ibstring.spectral import fractional_laplacian_half, mean, sobolev_seminorm
 
 from conftest import random_smooth_curve
@@ -193,6 +204,15 @@ class TestRunLoop:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
             run(X0, cfg)
 
+    def test_other_stepper_value_error_propagates(self, monkeypatch):
+        # only non-finite samples count as blow-up; any other ValueError is a bug
+        def broken_step(X, dt, u=None):
+            raise ValueError("stepper defect")
+
+        monkeypatch.setattr(dynamics, "step_exp_euler", broken_step)
+        with pytest.raises(ValueError, match="stepper defect"):
+            run(make_circle(64), StepperConfig(dt=1e-2, t_end=0.1))
+
     def test_degenerate_blowup_reported_as_regime_exit(self):
         # violently unstable step flips orientation before reaching inf
         X0 = make_perturbed_circle(64, 1.0, [PerturbationMode(2, 1e-2, 0.0)])
@@ -214,3 +234,25 @@ class TestRunLoop:
         assert not StepperConfig(t_end=1.0).dealias_active()
         assert StepperConfig(t_end=1.5).dealias_active()
         assert StepperConfig(t_end=5.0, dealias_enabled=False).dealias_active() is False
+
+
+def test_diagnostics_row_matches_per_quantity_calls(rng):
+    # radius comes from the fit's effective radius: bitwise the same row
+    X = random_smooth_curve(rng, n=128)
+    u = rhs(X)
+    fit = closest_equilibrium(X)
+    expected = DiagnosticsRow(
+        t=0.25,
+        energy=elastic_energy(X),
+        dissipation=dissipation_rate(X, u),
+        well_stretched=well_stretched_constant(X),
+        radius=effective_radius(X),
+        area=enclosed_area(X),
+        dist_h1=fit_distance(X, fit, 1.0),
+        dist_h52=fit_distance(X, fit, 2.5),
+        theta_star=fit.theta_star,
+        xstar_x=float(fit.x_star[0]),
+        xstar_y=float(fit.x_star[1]),
+    )
+    row = diagnostics_row(0.25, X, u)
+    assert np.array(astuple(row)).view(np.uint64).tolist() == np.array(astuple(expected)).view(np.uint64).tolist()

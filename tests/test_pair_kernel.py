@@ -1,0 +1,177 @@
+"""Row-blocked pair kernel against the dense (N, N) kernels it replaced."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ibstring import (
+    CurveState,
+    GridField,
+    forcing_derivative_quadrature,
+    on_curve_velocity,
+    well_stretched_constant,
+)
+from ibstring.curve import _BLOCK_ROWS, DegenerateCurveError, _pair_blocks, _wrap
+from ibstring.stokeslet import _tau_factor
+
+from conftest import random_smooth_curve
+
+_FOUR_PI = 4.0 * np.pi
+
+# 30, 34 and 66 leave a partial last block; 8 is a single partial block
+SIZES = (8, 30, 34, 66, 256, 1024)
+
+
+# ---------------------------------------------------------------------------
+# dense oracle: every pair matrix materialized at once
+# ---------------------------------------------------------------------------
+
+def dense_tau(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair offsets tau[j, j'] in [-pi, pi) and 1/tau with 1.0 on the diagonal."""
+    s = 2.0 * np.pi * np.arange(n) / n
+    tau = _wrap(s[None, :] - s[:, None])
+    np.fill_diagonal(tau, 0.0)
+    inv = tau.copy()
+    np.fill_diagonal(inv, 1.0)
+    return tau, 1.0 / inv
+
+
+def dense_pair_components(X: CurveState):
+    """(N, N) components of L and M with the diagonal limits X', X'', and |L|^2."""
+    v, vp, vpp = X.x.values, X.xp.values, X.xpp.values
+    inv_tau = dense_tau(X.n)[1]
+    idx = np.arange(X.n)
+    Lx = (v[None, :, 0] - v[:, None, 0]) * inv_tau
+    Ly = (v[None, :, 1] - v[:, None, 1]) * inv_tau
+    Mx = (vp[None, :, 0] - vp[:, None, 0]) * inv_tau
+    My = (vp[None, :, 1] - vp[:, None, 1]) * inv_tau
+    Lx[idx, idx] = vp[:, 0]
+    Ly[idx, idx] = vp[:, 1]
+    Mx[idx, idx] = vpp[:, 0]
+    My[idx, idx] = vpp[:, 1]
+    return Lx, Ly, Mx, My, Lx * Lx + Ly * Ly
+
+
+def dense_on_curve_velocity(X: CurveState) -> np.ndarray:
+    Lx, Ly, Mx, My, L2 = dense_pair_components(X)
+    vp, vpp = X.xp.values, X.xpp.values
+    ax = vp[:, 0][None, :]
+    ay = vp[:, 1][None, :]
+    inv = 1.0 / L2
+    La = (Lx * ax + Ly * ay) * inv
+    LM = (Lx * Mx + Ly * My) * inv
+    aM = (ax * Mx + ay * My) * inv
+    c4 = 2.0 * La * LM
+    ux = La * Mx - LM * ax - aM * Lx + c4 * Lx
+    uy = La * My - LM * ay - aM * Ly + c4 * Ly
+    idx = np.arange(X.n)
+    ux[idx, idx] = vpp[:, 0]
+    uy[idx, idx] = vpp[:, 1]
+    return X.h * np.stack([ux.sum(axis=1), uy.sum(axis=1)], axis=1) / _FOUR_PI
+
+
+def dense_forcing_derivative_quadrature(X: CurveState) -> np.ndarray:
+    Lx, Ly, Mx, My, L2 = dense_pair_components(X)
+    vp = X.xp.values
+    tau, inv_tau = dense_tau(X.n)
+    ax = vp[:, 0][None, :]
+    ay = vp[:, 1][None, :]
+    bx = vp[:, 0][:, None]
+    by = vp[:, 1][:, None]
+    Nx = (Lx - bx) * inv_tau
+    Ny = (Ly - by) * inv_tau
+    inv = 1.0 / L2
+    LM = Lx * Mx + Ly * My
+    LN = Lx * Nx + Ly * Ny
+    La = Lx * ax + Ly * ay
+    Lb = Lx * bx + Ly * by
+    NM = Nx * Mx + Ny * My
+    Na = Nx * ax + Ny * ay
+    MM = Mx * Mx + My * My
+    bLN = (bx - Lx) * Nx + (by - Ly) * Ny
+    c_M = bLN * inv - 2.0 * LN * Lb * inv**2 - _tau_factor(tau)
+    c_b = (MM - 2.0 * NM) * inv + 2.0 * LN * LM * inv**2
+    c_L = (
+        2.0 * LM * (LM - LN) * Lb * inv**3
+        + 2.0 * (NM - MM) * Lb * inv**2
+        - 6.0 * LM * La * LN * inv**3
+        + 2.0 * NM * La * inv**2
+        + 2.0 * LM * Na * inv**2
+    )
+    c_N = 2.0 * LM * La * inv**2
+    gx = c_M * Mx + c_b * bx + c_L * Lx + c_N * Nx
+    gy = c_M * My + c_b * by + c_L * Ly + c_N * Ny
+    idx = np.arange(X.n)
+    gx[idx, idx] = 0.0
+    gy[idx, idx] = 0.0
+    return X.h * np.stack([gx.sum(axis=1), gy.sum(axis=1)], axis=1) / _FOUR_PI
+
+
+def dense_well_stretched_constant(X: CurveState) -> float:
+    """min over j != j' of |X_j' - X_j| / torus distance, from the definition."""
+    v, n = X.x.values, X.n
+    idx = np.arange(n)
+    sep = np.abs(idx[None, :] - idx[:, None])
+    torus = np.minimum(sep, n - sep) * (2.0 * np.pi / n)
+    np.fill_diagonal(torus, np.inf)
+    dx = v[None, :, 0] - v[:, None, 0]
+    dy = v[None, :, 1] - v[:, None, 1]
+    ratio_sq = (dx * dx + dy * dy) / torus**2
+    np.fill_diagonal(ratio_sq, np.inf)
+    return float(np.sqrt(ratio_sq.min()))
+
+
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", SIZES)
+class TestBlockedAgainstDense:
+    def test_velocity(self, rng, n):
+        X = random_smooth_curve(rng, n=n)
+        assert np.max(np.abs(on_curve_velocity(X).values - dense_on_curve_velocity(X))) <= 1e-15
+
+    def test_forcing_derivative(self, rng, n):
+        X = random_smooth_curve(rng, n=n)
+        dense = dense_forcing_derivative_quadrature(X)
+        gap = np.max(np.abs(forcing_derivative_quadrature(X).values - dense))
+        assert gap <= 1e-12 * np.max(np.abs(dense))
+
+    def test_well_stretched_three_ways(self, rng, n):
+        X = random_smooth_curve(rng, n=n)
+        standalone = well_stretched_constant(CurveState(X.x))
+        on_curve_velocity(X)
+        by_product = X._well_stretched
+        assert by_product is not None
+        assert well_stretched_constant(X) == by_product
+        # both passes form |L|^2 with the same operations: bitwise equal
+        assert by_product == standalone
+        assert abs(by_product - dense_well_stretched_constant(X)) <= 1e-15
+
+
+class TestBlockedKernelGuards:
+    def test_coincident_pair_in_last_block(self, rng):
+        n = 66
+        v = random_smooth_curve(rng, n=n).x.values.copy()
+        v[n - 1] = v[n - 2]
+        X = CurveState(GridField(v))
+        n_blocks = -(-n // _BLOCK_ROWS)
+        blocks = _pair_blocks(X)
+        for _ in range(n_blocks - 1):
+            next(blocks)
+        with pytest.raises(DegenerateCurveError):
+            next(blocks)
+        with pytest.raises(DegenerateCurveError):
+            on_curve_velocity(X)
+        assert X._well_stretched is None  # an aborted pass memoizes nothing
+        assert well_stretched_constant(X) == 0.0
+
+    def test_velocity_memory_is_row_blocked(self, rng):
+        X = random_smooth_curve(rng, n=1024)
+        tracemalloc.start()
+        try:
+            on_curve_velocity(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
