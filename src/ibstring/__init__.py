@@ -2,9 +2,7 @@
 
 from .curve import (
     CurveState,
-    DiffQuotients,
     PerturbationMode,
-    diff_quotients,
     effective_radius,
     elastic_energy,
     enclosed_area,
@@ -39,8 +37,6 @@ from .spectral import (
 from .stokeslet import (
     FlowSample,
     dissipation_rate,
-    forcing_derivative_integrand,
-    forcing_derivative_integrand_direct,
     forcing_derivative_quadrature,
     nonstiff_forcing,
     off_curve_velocity,
@@ -49,7 +45,6 @@ from .stokeslet import (
     pressure_kernel,
     sample_flow,
     stokeslet,
-    velocity_integrand,
 )
 
 __version__ = "0.1.0"

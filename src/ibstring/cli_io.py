@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -87,18 +86,6 @@ class RunConfig:
     field_grid: FieldGrid | None = None
 
 
-def worker_count() -> int:
-    """Parallelism cap from IBSTRING_THREADS (0 or unset means automatic)."""
-    raw = os.environ.get("IBSTRING_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"IBSTRING_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise ConfigError(f"IBSTRING_THREADS must be >= 0, got {value}")
-    return value if value > 0 else (os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -133,7 +120,17 @@ def _require(obj: dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # also 1e400, which JSON reads as infinity
+        raise ConfigError(f"{path}: expected a finite number")
+    return number
+
+
+def _reject_constant(token: str) -> NoReturn:
+    raise ConfigError(f"non-finite number {token} is not allowed")
 
 
 def _integer(value: Any, path: str) -> int:
@@ -145,8 +142,8 @@ def _integer(value: Any, path: str) -> int:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration (strict: unknown keys rejected)."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError, a rejected constant, an over-long integer
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
@@ -343,10 +340,15 @@ def write_snapshot(path: Path, X: CurveState) -> None:
 
 
 def read_snapshot(path: Path) -> CurveState:
+    """Read a v1 curve snapshot; any malformed content raises ConfigError."""
     lines = path.read_text().strip().splitlines()
     if not lines or not lines[0].startswith("# ibstring-curve v1 N="):
         raise ConfigError(f"{path}: not an ibstring-curve v1 snapshot")
-    n = int(lines[0].split("N=")[1])
+    header = lines[0].split("N=")[1]
+    try:
+        n = int(header)
+    except ValueError:
+        raise ConfigError(f"{path}: header N={header!r} is not an integer") from None
     if len(lines) - 1 != n:
         raise ConfigError(f"{path}: expected {n} sample rows, found {len(lines) - 1}")
     vals = np.empty((n, 2))
@@ -354,8 +356,15 @@ def read_snapshot(path: Path) -> CurveState:
         parts = line.split(",")
         if len(parts) != 3:
             raise ConfigError(f"{path}: malformed row {j}: {line!r}")
-        vals[j] = (float(parts[1]), float(parts[2]))
-    return CurveState(GridField(vals))
+        try:
+            vals[j] = (float(parts[1]), float(parts[2]))
+        except ValueError:
+            raise ConfigError(f"{path}: non-numeric sample in row {j}: {line!r}") from None
+    try:
+        samples = GridField(vals)  # N even and >= 8, every sample finite
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return CurveState(samples)
 
 
 _DIAG_COLUMNS = (
@@ -392,19 +401,11 @@ def _field_row(X: CurveState, x: float, y: float) -> tuple[float, ...]:
 def write_field_csv(path: Path, X: CurveState, grid: FieldGrid) -> None:
     """Sample velocity and pressure over the lattice (rows y-major).
 
-    Lattice points that coincide with a curve sample emit NaN columns. Points
-    are independent, so rows may be computed by a worker pool; the output is
-    identical to the serial order.
+    Lattice points that coincide with a curve sample emit NaN columns.
     """
     xs = np.linspace(grid.xmin, grid.xmax, grid.nx)
     ys = np.linspace(grid.ymin, grid.ymax, grid.ny)
-    points = [(float(x), float(y)) for y in ys for x in xs]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda pt: _field_row(X, *pt), points))
-    else:
-        results = [_field_row(X, *pt) for pt in points]
+    results = [_field_row(X, float(x), float(y)) for y in ys for x in xs]
     lines = ["x,y,u,v,p"]
     lines.extend(",".join(_FMT % v for v in row) for row in results)
     path.write_text("\n".join(lines) + "\n")

@@ -1,9 +1,9 @@
 """Closed-string configurations and their geometry.
 
 A CurveState holds N uniform samples of a closed planar curve X on the torus
-together with its first two spectral derivatives. Geometry helpers: chord /
-derivative difference quotients, the well-stretched constant, enclosed area,
-effective radius and the elastic (stretching) energy.
+together with its first two spectral derivatives. Geometry helpers: the
+row-blocked chord / derivative slopes of all sample pairs, the well-stretched
+constant, enclosed area, effective radius and the elastic (stretching) energy.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from .spectral import GridField, derivative, sobolev_seminorm
 
 __all__ = [
     "CurveState",
-    "DiffQuotients",
     "PerturbationMode",
     "OrientationError",
     "DegenerateCurveError",
-    "diff_quotients",
     "well_stretched_constant",
     "enclosed_area",
     "effective_radius",
@@ -95,44 +93,6 @@ def _zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
     out = np.real(np.fft.ifft(cm * m, axis=0))
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True)
-class DiffQuotients:
-    """Chord and derivative slopes of a sample pair.
-
-    For offset tau = s' - s in [-pi, pi), L = (X(s')-X(s))/tau,
-    M = (X'(s')-X'(s))/tau, N = (L - X'(s))/tau; the diagonal values are
-    L = X'(s), M = X''(s), N = X''(s)/2.
-    """
-
-    L: np.ndarray
-    M: np.ndarray
-    N: np.ndarray
-    tau: float
-
-
-def _wrap(offset: np.ndarray | float):
-    """Wrap a torus offset into [-pi, pi)."""
-    return (offset + np.pi) % (2.0 * np.pi) - np.pi
-
-
-def diff_quotients(X: CurveState, j: int, jp: int) -> DiffQuotients:
-    """Difference quotients (L, M, N) for the sample pair (j, j')."""
-    n = X.n
-    j, jp = j % n, jp % n
-    if j == jp:
-        return DiffQuotients(
-            L=X.xp.values[j].copy(),
-            M=X.xpp.values[j].copy(),
-            N=0.5 * X.xpp.values[j],
-            tau=0.0,
-        )
-    tau = float(_wrap((jp - j) * X.h))
-    L = (X.x.values[jp] - X.x.values[j]) / tau
-    M = (X.xp.values[jp] - X.xp.values[j]) / tau
-    N = (L - X.xp.values[j]) / tau
-    return DiffQuotients(L=L, M=M, N=N, tau=tau)
 
 
 # Rows per block of the pair matrices, so that each (rows, N) float64

@@ -2,8 +2,9 @@
 
 Velocity Green's function of steady 2-D Stokes flow, the regularized on-curve
 velocity integrand, off-curve velocity/pressure, the energy dissipation rate,
-the nonstiff forcing of the contour dynamics and the two algebraically
-equivalent forms of its s-derivative integrand.
+the nonstiff forcing of the contour dynamics and the s-derivative of that
+forcing. The on-curve integrands exist once, as private generators of the
+row blocks of their pair matrices; the public functions sum those rows.
 
 All on-curve integrals use the periodic trapezoid rule with the analytic
 removable-singularity limit substituted on the diagonal (no point exclusion).
@@ -16,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .curve import CurveState, DegenerateCurveError, diff_quotients, _pair_blocks, _wrap
+from .curve import CurveState, _pair_blocks, _row_blocks
 from .spectral import GridField, fractional_laplacian_half
 
 __all__ = [
@@ -27,15 +29,12 @@ __all__ = [
     "OnCurvePointError",
     "stokeslet",
     "pressure_kernel",
-    "velocity_integrand",
     "on_curve_velocity",
     "off_curve_velocity",
     "pressure_at",
     "sample_flow",
     "dissipation_rate",
     "nonstiff_forcing",
-    "forcing_derivative_integrand",
-    "forcing_derivative_integrand_direct",
     "forcing_derivative_quadrature",
 ]
 
@@ -77,40 +76,29 @@ def pressure_kernel(x: np.ndarray) -> np.ndarray:
 # on-curve velocity
 # ---------------------------------------------------------------------------
 
-def velocity_integrand(X: CurveState, j: int, jp: int) -> np.ndarray:
-    """Regularized on-curve velocity integrand at the sample pair (j, j').
+# (rows, fx, fy): one row block of an integrand's pair matrix, times 4pi
+_Rows = Iterator[tuple[slice, np.ndarray, np.ndarray]]
 
-    Off the diagonal this is the chord-slope form
+
+def _trapezoid(X: CurveState, row_blocks: _Rows) -> GridField:
+    """Periodic trapezoid over s' of integrand rows scaled by 4pi."""
+    out = np.empty((X.n, 2))
+    for rows, fx, fy in row_blocks:
+        out[rows, 0] = fx.sum(axis=1)
+        out[rows, 1] = fy.sum(axis=1)
+    return GridField(X.h * out / _FOUR_PI)
+
+
+def _velocity_rows(X: CurveState) -> _Rows:
+    """Row blocks (rows, ux, uy) of 4pi times the on-curve velocity integrand.
+
+    Off the diagonal the integrand is the chord-slope form
     (1/4pi)[(L.a)/|L|^2 M - (L.M)/|L|^2 a - (a.M)/|L|^2 L + 2(L.a)(L.M)/|L|^4 L]
     with a = X'(s'); on the diagonal its removable-singularity limit X''(s)/4pi.
-    """
-    n = X.n
-    j, jp = j % n, jp % n
-    if j == jp:
-        return X.xpp.values[j] / _FOUR_PI
-    q = diff_quotients(X, j, jp)
-    a = X.xp.values[jp]
-    L2 = float(q.L @ q.L)
-    if L2 == 0.0:
-        raise DegenerateCurveError(f"coincident samples at pair ({j}, {jp})")
-    La = float(q.L @ a)
-    LM = float(q.L @ q.M)
-    aM = float(a @ q.M)
-    term = (La / L2) * q.M - (LM / L2) * a - (aM / L2) * q.L + (2.0 * La * LM / L2**2) * q.L
-    return term / _FOUR_PI
-
-
-def on_curve_velocity(X: CurveState) -> GridField:
-    """String velocity u(X(s_j)) by periodic trapezoid over all samples.
-
-    The integrand is smooth across the diagonal, so the rule is spectrally
-    accurate; this is the full right-hand side of the contour dynamics. The
-    pass runs over row blocks of the pair matrices and leaves the
-    well-stretched constant memoized on X.
+    Once the last block is out, the well-stretched constant is memoized on X.
     """
     vp, vpp = X.xp.values, X.xpp.values
     ax, ay = vp[:, 0], vp[:, 1]
-    u = np.empty((X.n, 2))
     for rows, diag, Lx, Ly, Mx, My, L2, _, _ in _pair_blocks(X):
         # La M - LM a - aM L with La = (L.a)/|L|^2, LM = (L.M)/|L|^2 and
         # aM = (a.M)/|L|^2 - 2 La LM; formed in place, since the pass is
@@ -134,9 +122,18 @@ def on_curve_velocity(X: CurveState) -> GridField:
         uy -= aM * Ly
         ux[diag] = vpp[rows, 0]  # removable-singularity limit (X''/4pi after scaling)
         uy[diag] = vpp[rows, 1]
-        u[rows, 0] = ux.sum(axis=1)
-        u[rows, 1] = uy.sum(axis=1)
-    return GridField(X.h * u / _FOUR_PI)
+        yield rows, ux, uy
+
+
+def on_curve_velocity(X: CurveState) -> GridField:
+    """String velocity u(X(s_j)) by periodic trapezoid over all samples.
+
+    The integrand is smooth across the diagonal, so the rule is spectrally
+    accurate; this is the full right-hand side of the contour dynamics. The
+    pass runs over row blocks of the pair matrices and leaves the
+    well-stretched constant memoized on X.
+    """
+    return _trapezoid(X, _velocity_rows(X))
 
 
 # ---------------------------------------------------------------------------
@@ -263,95 +260,15 @@ def _tau_factor(tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def forcing_derivative_integrand(X: CurveState, j: int, jp: int) -> np.ndarray:
-    """Simplified integrand of the s-derivative of the nonstiff forcing.
+def _forcing_derivative_rows(X: CurveState) -> _Rows:
+    """Row blocks (rows, gx, gy) of 4pi times the simplified integrand of the
+    s-derivative of the nonstiff forcing.
 
-    Closed form in the difference quotients (L, M, N); its diagonal limit is
-    zero, which is returned directly for j = j'.
-    """
-    n = X.n
-    j, jp = j % n, jp % n
-    if j == jp:
-        return np.zeros(2)
-    q = diff_quotients(X, j, jp)
-    a = X.xp.values[jp]
-    b = X.xp.values[j]
-    L, M, N_ = q.L, q.M, q.N
-    L2 = float(L @ L)
-    if L2 == 0.0:
-        raise DegenerateCurveError(f"coincident samples at pair ({j}, {jp})")
-    LM = float(L @ M)
-    LN = float(L @ N_)
-    La = float(L @ a)
-    Lb = float(L @ b)
-    NM = float(N_ @ M)
-    Na = float(N_ @ a)
-    MM = float(M @ M)
-    f = float(_tau_factor(np.array([q.tau]))[0])
-    c_M = float((b - L) @ N_) / L2 - 2.0 * LN * Lb / L2**2 - f
-    c_b = (MM - 2.0 * NM) / L2 + 2.0 * LN * LM / L2**2
-    c_L = (
-        2.0 * LM * (LM - LN) * Lb / L2**3
-        + 2.0 * (NM - MM) * Lb / L2**2
-        - 6.0 * LM * La * LN / L2**3
-        + 2.0 * NM * La / L2**2
-        + 2.0 * LM * Na / L2**2
-    )
-    c_N = 2.0 * LM * La / L2**2
-    return (c_M * M + c_b * b + c_L * L + c_N * N_) / _FOUR_PI
-
-
-def forcing_derivative_integrand_direct(X: CurveState, j: int, jp: int) -> np.ndarray:
-    """Unsimplified form: chain-rule expansion of the mixed derivative of the
-    log kernel, minus the flat-space counterterm Id/(16 pi sin^2(tau/2)),
-    applied to X'(s') - X'(s).
-
-    The removable singularity is not implemented here; the diagonal is
-    rejected.
-    """
-    n = X.n
-    j, jp = j % n, jp % n
-    if j == jp:
-        raise ValueError("diagonal pair: the direct form has no implemented limit")
-    v, vp = X.x.values, X.xp.values
-    w = v[jp] - v[j]
-    a = vp[jp]
-    b = vp[j]
-    d = a - b
-    r2 = float(w @ w)
-    if r2 == 0.0:
-        raise DegenerateCurveError(f"coincident samples at pair ({j}, {jp})")
-    wa = float(w @ a)
-    wb = float(w @ b)
-    wd = float(w @ d)
-    ab = float(a @ b)
-    ad = float(a @ d)
-    bd = float(b @ d)
-    kernel_part = (
-        -ab * d / r2
-        + 2.0 * wa * wb * d / r2**2
-        + bd * a / r2
-        + ad * b / r2
-        - 2.0 * wb * (wd * a + ad * w) / r2**2
-        - 2.0 * ab * wd * w / r2**2
-        - 2.0 * wa * (wd * b + bd * w) / r2**2
-        + 8.0 * wa * wb * wd * w / r2**3
-    ) / _FOUR_PI
-    tau = float(_wrap((jp - j) * X.h))
-    counterterm = d / (16.0 * np.pi * np.sin(tau / 2.0) ** 2)
-    return kernel_part - counterterm
-
-
-def forcing_derivative_quadrature(X: CurveState) -> GridField:
-    """Trapezoid of the simplified integrand: the s-derivative of the forcing.
-
-    The integrand is smooth on the whole torus (zero diagonal limit), so the
-    rule is spectrally accurate; cross-checks the spectral derivative of
-    nonstiff_forcing.
+    Closed form in the difference quotients L, M and N = (L - X'(s))/tau, with
+    b = X'(s); its continuous limit on the diagonal is zero.
     """
     vp = X.xp.values
     ax, ay = vp[:, 0], vp[:, 1]
-    g = np.empty((X.n, 2))
     for rows, diag, Lx, Ly, Mx, My, L2, tau, inv_tau in _pair_blocks(X):
         bx = vp[rows, 0, None]
         by = vp[rows, 1, None]
@@ -382,6 +299,51 @@ def forcing_derivative_quadrature(X: CurveState) -> GridField:
         gy = c_M * My + c_b * by + c_L * Ly + c_N * Ny
         gx[diag] = 0.0  # continuous limit of the integrand at the diagonal
         gy[diag] = 0.0
-        g[rows, 0] = gx.sum(axis=1)
-        g[rows, 1] = gy.sum(axis=1)
-    return GridField(X.h * g / _FOUR_PI)
+        yield rows, gx, gy
+
+
+def _forcing_derivative_rows_direct(X: CurveState) -> _Rows:
+    """Row blocks (rows, gx, gy) of 4pi times the unsimplified integrand.
+
+    Chain-rule expansion of the mixed derivative of the log kernel, minus the
+    flat-space counterterm Id/(16 pi sin^2(tau/2)), applied to
+    d = X'(s') - X'(s). The chord w = X(s') - X(s) and d come straight from
+    the samples, not from L and M, so this form checks the simplified one
+    independently. Its removable singularity is not implemented: the
+    diagonal is NaN.
+    """
+    v, vp = X.x.values, X.xp.values
+    ax, ay = vp[:, 0], vp[:, 1]
+    for rows, diag, tau, _ in _row_blocks(X.n):
+        bx = vp[rows, 0, None]
+        by = vp[rows, 1, None]
+        wx = v[:, 0] - v[rows, 0, None]
+        wy = v[:, 1] - v[rows, 1, None]
+        dx = ax - bx
+        dy = ay - by
+        r2 = wx * wx + wy * wy
+        sin2 = np.sin(tau / 2.0) ** 2
+        r2[diag] = sin2[diag] = np.nan
+        inv = 1.0 / r2
+        wa = wx * ax + wy * ay
+        wb = wx * bx + wy * by
+        wd = wx * dx + wy * dy
+        ab = ax * bx + ay * by
+        ad = ax * dx + ay * dy
+        bd = bx * dx + by * dy
+        # the kernel part collected by vector: c_d d + c_a a + c_b b + c_w w
+        c_d = -ab * inv + 2.0 * wa * wb * inv**2 - 0.25 / sin2
+        c_a = bd * inv - 2.0 * wb * wd * inv**2
+        c_b = ad * inv - 2.0 * wa * wd * inv**2
+        c_w = -2.0 * (wb * ad + ab * wd + wa * bd) * inv**2 + 8.0 * wa * wb * wd * inv**3
+        yield rows, c_d * dx + c_a * ax + c_b * bx + c_w * wx, c_d * dy + c_a * ay + c_b * by + c_w * wy
+
+
+def forcing_derivative_quadrature(X: CurveState) -> GridField:
+    """Trapezoid of the simplified integrand: the s-derivative of the forcing.
+
+    The integrand is smooth on the whole torus (zero diagonal limit), so the
+    rule is spectrally accurate; cross-checks the spectral derivative of
+    nonstiff_forcing.
+    """
+    return _trapezoid(X, _forcing_derivative_rows(X))

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ibstring import CurveState, GridField, PerturbationMode, make_perturbed_circle, well_stretched_constant
+# one generator each for random curves and fields, shared with the acceptance suite
+from ibstring.acceptance import random_band_limited, random_smooth_curve  # noqa: F401
 
 
 @pytest.fixture
@@ -15,42 +16,6 @@ def rng():
 
 def grid(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
-
-
-def random_band_limited(rng, n: int, kmax: int = 6, scale: float = 1.0, mean_zero: bool = False) -> GridField:
-    """Random real field with content only in modes |k| <= kmax."""
-    s = grid(n)
-    vals = np.zeros((n, 2))
-    k0 = 1 if mean_zero else 0
-    for k in range(k0, kmax + 1):
-        a = rng.normal(size=4) * scale
-        vals[:, 0] += a[0] * np.cos(k * s) + (a[1] * np.sin(k * s) if k else 0.0)
-        vals[:, 1] += a[2] * np.cos(k * s) + (a[3] * np.sin(k * s) if k else 0.0)
-    return GridField(vals)
-
-
-def random_smooth_curve(rng, n: int = 256, amp: float = 0.05, min_lambda: float = 0.3) -> CurveState:
-    """Random well-stretched perturbed circle (modes 2..6), randomly posed."""
-    from ibstring import make_circle
-
-    while True:
-        modes = [
-            PerturbationMode(
-                k,
-                amp_x=rng.uniform(-amp, amp),
-                amp_y=rng.uniform(-amp, amp),
-                phase_x=rng.uniform(0, 2 * np.pi),
-                phase_y=rng.uniform(0, 2 * np.pi),
-            )
-            for k in range(2, 7)
-        ]
-        theta = rng.uniform(0, 2 * np.pi)
-        center = rng.uniform(-0.5, 0.5, size=2)
-        pert = make_perturbed_circle(n, 1.0, modes).x.values - make_circle(n).x.values
-        base = make_circle(n, 1.0, theta, center).x.values
-        X = CurveState(GridField(base + pert))
-        if well_stretched_constant(X) > min_lambda:
-            return X
 
 
 # ---------------------------------------------------------------------------

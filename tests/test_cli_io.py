@@ -11,6 +11,7 @@ from ibstring.cli_io import (
     build_initial,
     canonical_config,
     cmd_fit,
+    cmd_simulate,
     cmd_spectrum,
     main,
     parse_config,
@@ -22,6 +23,7 @@ from ibstring.cli_io import (
 )
 from ibstring.dynamics import StepperConfig, run
 from ibstring.equilibrium import closest_equilibrium
+from ibstring.stokeslet import off_curve_velocity, pressure_at
 
 
 MINIMAL = {"grid_n": 64, "t_end": 0.1, "initial": {"kind": "circle"}}
@@ -72,6 +74,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="beta"):
             parse_config(config_text(initial={"kind": "reparam_circle", "beta": 1.5}))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_tokens_rejected(self, token):
+        with pytest.raises(ConfigError, match=token):
+            parse_config(config_text().replace('"t_end": 0.1', f'"t_end": {token}'))
+
+    @pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400], ids=["exponent", "integer"])
+    def test_overflowing_number_rejected(self, literal):
+        # valid JSON, but beyond the float range
+        with pytest.raises(ConfigError, match="t_end"):
+            parse_config(config_text().replace('"t_end": 0.1', f'"t_end": {literal}'))
+
     def test_round_trip(self):
         text = config_text(
             scheme="rk4",
@@ -116,10 +129,9 @@ class TestFileFormats:
         )
         assert text == p2.read_text()  # byte-identical across repeated runs
 
-    def test_field_csv_with_on_curve_nan(self, tmp_path, monkeypatch):
+    def test_field_csv_with_on_curve_nan(self, tmp_path):
         from ibstring.cli_io import FieldGrid
 
-        monkeypatch.setenv("IBSTRING_THREADS", "1")
         X = make_circle(64)
         # 3x3 lattice whose corner (1, 0) coincides with a curve sample
         grid = FieldGrid(xmin=0.0, xmax=1.0, ymin=0.0, ymax=0.4, nx=3, ny=3)
@@ -133,18 +145,21 @@ class TestFileFormats:
         interior = lines[1].split(",")
         assert abs(float(interior[4]) - 1.0) < 1e-8  # pressure 1 inside the circle
 
-    def test_field_csv_parallel_identical(self, tmp_path, monkeypatch):
+    def test_field_csv_matches_pointwise(self, tmp_path):
         from ibstring.cli_io import FieldGrid
 
         X = make_perturbed_circle(64, 1.0, [PerturbationMode(2, 0.05, 0.0)])
         grid = FieldGrid(xmin=-2.0, xmax=2.0, ymin=-2.0, ymax=2.0, nx=4, ny=4)
-        monkeypatch.setenv("IBSTRING_THREADS", "1")
-        serial = tmp_path / "serial.csv"
-        write_field_csv(serial, X, grid)
-        monkeypatch.setenv("IBSTRING_THREADS", "3")
-        parallel = tmp_path / "parallel.csv"
-        write_field_csv(parallel, X, grid)
-        assert serial.read_text() == parallel.read_text()
+        path = tmp_path / "field.csv"
+        write_field_csv(path, X, grid)
+        rows = [list(map(float, line.split(","))) for line in path.read_text().splitlines()[1:]]
+        points = [(x, y) for y in np.linspace(-2.0, 2.0, 4) for x in np.linspace(-2.0, 2.0, 4)]
+        assert len(rows) == len(points)
+        for (x, y, u, v, p), point in zip(rows, points):
+            assert (x, y) == point
+            # %.17g round-trips doubles, so each row is bitwise the direct calls
+            assert [u, v] == off_curve_velocity(X, np.array(point)).tolist()
+            assert p == pressure_at(X, np.array(point))
 
     def test_svg_contains_curve_and_fit(self, tmp_path):
         X = make_perturbed_circle(64, 1.0, [PerturbationMode(3, 0.1, 0.0)])
@@ -238,6 +253,81 @@ class TestSubcommands:
         assert main(["spectrum", "2"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[1].startswith("0,")
+
+
+def bad_snapshot_text(case: str) -> str:
+    """A circle snapshot broken in the way `case` names."""
+    n = 9 if case == "odd_n" else 8
+    rows = [f"{t:.17g},{np.cos(t):.17g},{np.sin(t):.17g}" for t in 2.0 * np.pi * np.arange(n) / n]
+    header = "eight" if case == "header_not_integer" else str(n)
+    if case == "non_numeric_cell":
+        rows[3] = "0.1,abc,0.5"
+    elif case == "non_finite_sample":
+        rows[3] = "0.1,nan,0.5"
+    return f"# ibstring-curve v1 N={header}\n" + "\n".join(rows) + "\n"
+
+
+class TestMalformedInputs:
+    """Malformed snapshots and configs end in exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("case", ["header_not_integer", "non_numeric_cell", "non_finite_sample", "odd_n"])
+    def test_bad_snapshot_exit_2(self, tmp_path, case):
+        snap = tmp_path / "bad.csv"
+        snap.write_text(bad_snapshot_text(case))
+        with pytest.raises(ConfigError):
+            read_snapshot(snap)
+        field_cfg = tmp_path / "field.json"
+        field_cfg.write_text(config_text(
+            output_dir=str(tmp_path / "out"),
+            field_grid={"xmin": -0.5, "xmax": 0.5, "ymin": -0.5, "ymax": 0.5, "nx": 2, "ny": 2},
+        ))
+        sim_cfg = tmp_path / "sim.json"
+        sim_cfg.write_text(config_text(
+            grid_n=8, output_dir=str(tmp_path / "out"), initial={"kind": "file", "path": str(snap)},
+        ))
+        assert main(["fit", str(snap)]) == 2
+        assert main(["field", str(field_cfg), str(snap)]) == 2
+        assert main(["simulate", str(sim_cfg)]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"t_end": float("nan")},
+        {"initial": {"kind": "circle", "radius": float("nan")}},
+        {"initial": {"kind": "perturbed_circle", "modes": [{"k": 2, "amp_x": float("inf")}]}},
+    ], ids=["t_end_nan", "radius_nan", "mode_amp_infinity"])
+    def test_non_finite_config_exit_2(self, tmp_path, overrides):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(output_dir=str(tmp_path / "out"), **overrides))
+        assert main(["simulate", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_field_grid_bound_exit_2(self, tmp_path):
+        snap = tmp_path / "snap.csv"
+        write_snapshot(snap, make_circle(64))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(
+            output_dir=str(tmp_path / "out"),
+            field_grid={"xmin": float("nan"), "xmax": 0.5, "ymin": -0.5, "ymax": 0.5, "nx": 2, "ny": 2},
+        ))
+        assert main(["field", str(cfg_path), str(snap)]) == 2
+        assert not (tmp_path / "out").exists()
+
+
+def test_simulate_twice_byte_identical(tmp_path):
+    """Identical config and build give byte-identical output files."""
+    outputs = []
+    for name in ("a", "b"):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(config_text(
+            t_end=0.06,
+            snapshot_every=2,
+            output_dir=str(tmp_path / name),
+            initial={"kind": "perturbed_circle", "modes": [{"k": 2, "amp_x": 0.02}, {"k": 3, "amp_y": 0.01}]},
+        ))
+        assert cmd_simulate(cfg_path) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())})
+    assert sorted(outputs[0]) == sorted(outputs[1])
+    assert "snap_00000004.csv" in outputs[0] and "final.svg" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 class TestVerifyRegistry:

@@ -1,4 +1,4 @@
-"""Curve geometry: difference quotients, stretching, area, energy, constructors."""
+"""Curve geometry: pair difference quotients, stretching, area, energy, constructors."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from ibstring import (
     CurveState,
     GridField,
     PerturbationMode,
-    diff_quotients,
     effective_radius,
     elastic_energy,
     enclosed_area,
@@ -17,45 +16,60 @@ from ibstring import (
     sobolev_seminorm,
     well_stretched_constant,
 )
-from ibstring.curve import OrientationError
+from ibstring.curve import OrientationError, _pair_blocks
 from ibstring.equilibrium import closest_equilibrium
 
 from conftest import grid, random_smooth_curve
 
 
-class TestDiffQuotients:
+def pair_quotients(X: CurveState):
+    """(L, M, N, tau) over all sample pairs, assembled from the row blocks.
+
+    L and M are the chord and derivative slopes of _pair_blocks, with their
+    diagonal limits X' and X''; N = (L - X'(s)) / tau off the diagonal and 0
+    on it. Vector quotients have shape (N, N, 2), tau has shape (N, N).
+    """
+    blocks = list(_pair_blocks(X))
+
+    def stacked(i):
+        return np.concatenate([b[i] for b in blocks])
+
+    L = np.stack([stacked(2), stacked(3)], axis=-1)
+    M = np.stack([stacked(4), stacked(5)], axis=-1)
+    N = (L - X.xp.values[:, None, :]) * stacked(8)[..., None]
+    return L, M, N, stacked(7)
+
+
+class TestDifferenceQuotients:
     def test_circle_diagonal(self):
         X = make_circle(256)
-        q = diff_quotients(X, 0, 0)
-        assert np.allclose(q.L, [0.0, 1.0], atol=1e-12)
-        assert np.allclose(q.M, [-1.0, 0.0], atol=1e-12)
-        assert np.allclose(q.N, [-0.5, 0.0], atol=1e-12)
-        assert q.tau == 0.0
+        L, M, _, tau = pair_quotients(X)
+        assert np.allclose(L[0, 0], [0.0, 1.0], atol=1e-12)
+        assert np.allclose(M[0, 0], [-1.0, 0.0], atol=1e-12)
+        assert tau[0, 0] == 0.0
 
     def test_circle_quarter_turn(self):
         X = make_circle(256)
-        q = diff_quotients(X, 0, 64)  # s = 0, s' = pi/2
-        assert np.allclose(q.L, [-2.0 / np.pi, 2.0 / np.pi], atol=1e-12)
-        assert abs(q.tau - np.pi / 2.0) < 1e-14
+        L, _, _, tau = pair_quotients(X)
+        # s = 0, s' = pi/2
+        assert np.allclose(L[0, 64], [-2.0 / np.pi, 2.0 / np.pi], atol=1e-12)
+        assert abs(tau[0, 64] - np.pi / 2.0) < 1e-14
 
     def test_diagonal_matches_derivatives_everywhere(self, rng):
         X = random_smooth_curve(rng, n=128)
-        for j in (0, 17, 99):
-            q = diff_quotients(X, j, j)
-            assert np.array_equal(q.L, X.xp.values[j])
-            assert np.array_equal(q.M, X.xpp.values[j])
-            assert np.allclose(q.N, 0.5 * X.xpp.values[j])
+        L, M, _, _ = pair_quotients(X)
+        idx = np.arange(X.n)
+        assert np.array_equal(L[idx, idx], X.xp.values)
+        assert np.array_equal(M[idx, idx], X.xpp.values)
 
     def test_maximal_function_bounds(self, rng):
         # |L| <= 2 max|X'| and |N| <= 2 max|X''| over every grid pair
         X = random_smooth_curve(rng, n=64)
         cap_l = 2.0 * np.max(np.linalg.norm(X.xp.values, axis=1))
         cap_n = 2.0 * np.max(np.linalg.norm(X.xpp.values, axis=1))
-        for j in range(64):
-            for jp in range(64):
-                q = diff_quotients(X, j, jp)
-                assert np.linalg.norm(q.L) <= cap_l + 1e-12
-                assert np.linalg.norm(q.N) <= cap_n + 1e-12
+        L, _, N, _ = pair_quotients(X)
+        assert np.all(np.linalg.norm(L, axis=-1) <= cap_l + 1e-12)
+        assert np.all(np.linalg.norm(N, axis=-1) <= cap_n + 1e-12)
 
 
 class TestWellStretched:

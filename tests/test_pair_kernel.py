@@ -12,7 +12,7 @@ from ibstring import (
     on_curve_velocity,
     well_stretched_constant,
 )
-from ibstring.curve import _BLOCK_ROWS, DegenerateCurveError, _pair_blocks, _wrap
+from ibstring.curve import _BLOCK_ROWS, DegenerateCurveError, _pair_blocks
 from ibstring.stokeslet import _tau_factor
 
 from conftest import random_smooth_curve
@@ -26,6 +26,11 @@ SIZES = (8, 30, 34, 66, 256, 1024)
 # ---------------------------------------------------------------------------
 # dense oracle: every pair matrix materialized at once
 # ---------------------------------------------------------------------------
+
+def _wrap(offset: np.ndarray) -> np.ndarray:
+    """Wrap a torus offset into [-pi, pi)."""
+    return (offset + np.pi) % (2.0 * np.pi) - np.pi
+
 
 def dense_tau(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Pair offsets tau[j, j'] in [-pi, pi) and 1/tau with 1.0 on the diagonal."""

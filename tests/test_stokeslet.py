@@ -8,8 +8,6 @@ from ibstring import (
     GridField,
     PerturbationMode,
     dissipation_rate,
-    forcing_derivative_integrand,
-    forcing_derivative_integrand_direct,
     forcing_derivative_quadrature,
     make_circle,
     make_perturbed_circle,
@@ -21,10 +19,15 @@ from ibstring import (
     pressure_kernel,
     sample_flow,
     stokeslet,
-    velocity_integrand,
 )
 from ibstring.spectral import derivative, fractional_laplacian_half
-from ibstring.stokeslet import OnCurvePointError, _tau_factor
+from ibstring.stokeslet import (
+    OnCurvePointError,
+    _forcing_derivative_rows,
+    _forcing_derivative_rows_direct,
+    _tau_factor,
+    _velocity_rows,
+)
 
 from conftest import random_smooth_curve
 
@@ -47,6 +50,15 @@ def on_curve_velocity_zero_gauge(X: CurveState) -> GridField:
     np.fill_diagonal(coeff, 0.0)
     u = X.h * np.einsum("ij,ijk->ik", coeff, w) / (4.0 * np.pi)
     return GridField(u)
+
+
+def integrand_matrix(row_blocks, n: int) -> np.ndarray:
+    """(N, N, 2) integrand over all sample pairs from its 4pi-scaled row blocks."""
+    out = np.empty((n, n, 2))
+    for rows, fx, fy in row_blocks:
+        out[rows, :, 0] = fx
+        out[rows, :, 1] = fy
+    return out / (4.0 * np.pi)
 
 
 class TestGreensFunctions:
@@ -86,29 +98,24 @@ class TestGreensFunctions:
 class TestVelocityIntegrand:
     def test_circle_quadrature_sums_to_zero(self):
         X = make_circle(256)
-        h = X.h
+        pairs = integrand_matrix(_velocity_rows(X), X.n)
         for j in (0, 41):
-            total = h * sum(velocity_integrand(X, j, jp) for jp in range(256))
+            total = X.h * pairs[j].sum(axis=0)
             assert np.max(np.abs(total)) < 1e-12
 
     def test_circle_diagonal_limit(self):
         X = make_circle(256)
-        assert np.allclose(velocity_integrand(X, 0, 0), [-1.0 / (4 * np.pi), 0.0], atol=1e-12)
+        pairs = integrand_matrix(_velocity_rows(X), X.n)
+        assert np.allclose(pairs[0, 0], [-1.0 / (4 * np.pi), 0.0], atol=1e-12)
 
     def test_near_diagonal_first_order_convergence(self):
         gaps = []
         for n in (64, 128, 256):
             X = make_perturbed_circle(n, 1.0, [PerturbationMode(3, 0.08, 0.0)])
-            gaps.append(np.linalg.norm(velocity_integrand(X, 0, 1) - velocity_integrand(X, 0, 0)))
+            pairs = integrand_matrix(_velocity_rows(X), n)
+            gaps.append(np.linalg.norm(pairs[0, 1] - pairs[0, 0]))
         ratios = [gaps[i] / gaps[i + 1] for i in range(2)]
         assert all(1.8 < r < 2.2 for r in ratios)
-
-    def test_matches_vectorized_row(self, rng):
-        X = random_smooth_curve(rng, n=64)
-        u = on_curve_velocity(X)
-        j = 9
-        row = X.h * sum(velocity_integrand(X, j, jp) for jp in range(64))
-        assert np.max(np.abs(row - u.values[j])) < 1e-13
 
 
 class TestOnCurveVelocity:
@@ -267,30 +274,30 @@ class TestNonstiffForcing:
 class TestForcingDerivative:
     def test_diagonal_is_zero(self, rng):
         X = random_smooth_curve(rng, n=64)
-        assert np.array_equal(forcing_derivative_integrand(X, 5, 5), np.zeros(2))
+        simplified = integrand_matrix(_forcing_derivative_rows(X), X.n)
+        idx = np.arange(X.n)
+        assert np.array_equal(simplified[idx, idx], np.zeros((X.n, 2)))
 
     def test_direct_form_rejects_diagonal(self, rng):
+        # the direct form has no implemented limit: NaN on the diagonal only
         X = random_smooth_curve(rng, n=64)
-        with pytest.raises(ValueError, match="diagonal"):
-            forcing_derivative_integrand_direct(X, 5, 5)
+        direct = integrand_matrix(_forcing_derivative_rows_direct(X), X.n)
+        diagonal = np.eye(X.n, dtype=bool)
+        assert np.all(np.isnan(direct[diagonal]))
+        assert np.all(np.isfinite(direct[~diagonal]))
 
     def test_two_forms_agree_on_random_pairs(self, rng):
+        # every off-diagonal pair of a random curve
         X = random_smooth_curve(rng, n=256)
-        worst = 0.0
-        for _ in range(300):
-            j, jp = rng.integers(0, 256, size=2)
-            if j == jp:
-                continue
-            d = forcing_derivative_integrand(X, int(j), int(jp)) - forcing_derivative_integrand_direct(
-                X, int(j), int(jp)
-            )
-            worst = max(worst, float(np.max(np.abs(d))))
-        assert worst < 1e-10
+        simplified = integrand_matrix(_forcing_derivative_rows(X), X.n)
+        direct = integrand_matrix(_forcing_derivative_rows_direct(X), X.n)
+        off = ~np.eye(X.n, dtype=bool)
+        assert np.max(np.abs(simplified[off] - direct[off])) < 1e-10
 
     def test_circle_antipodal_pair(self):
         X = make_circle(256)
-        a = forcing_derivative_integrand(X, 0, 128)
-        b = forcing_derivative_integrand_direct(X, 0, 128)
+        a = integrand_matrix(_forcing_derivative_rows(X), X.n)[0, 128]
+        b = integrand_matrix(_forcing_derivative_rows_direct(X), X.n)[0, 128]
         assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
         assert np.max(np.abs(a - b)) < 1e-12
 
