@@ -38,7 +38,7 @@ from .dynamics import (
 )
 from .equilibrium import EquilibriumFit, closest_equilibrium, first_order_residual, fit_distance, mode_block
 from .spectral import GridField
-from .stokeslet import OnCurvePointError, off_curve_velocity, pressure_at
+from .stokeslet import _off_curve_flow
 
 __all__ = [
     "ConfigError",
@@ -61,6 +61,12 @@ __all__ = [
 ]
 
 _FMT = "%.17g"  # full double precision for all emitted numbers
+
+# Fixed bounds on the cost of one run: the pair kernel is O(grid_n^2) per
+# step, and the field lattice costs nx*ny times N (times up to 64 near the
+# curve). A snapshot's N is held to the grid_n bound as well.
+MAX_GRID_N = 8192
+MAX_FIELD_POINTS = 250_000
 
 
 class ConfigError(ValueError):
@@ -133,6 +139,12 @@ def _reject_constant(token: str) -> NoReturn:
     raise ConfigError(f"non-finite number {token} is not allowed")
 
 
+def _string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
 def _integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -152,6 +164,8 @@ def parse_config(text: str) -> RunConfig:
     grid_n = _integer(_require(doc, "grid_n", "top level"), "grid_n")
     if grid_n < 8 or grid_n % 2 != 0:
         raise ConfigError(f"grid_n: must be even and >= 8, got {grid_n}")
+    if grid_n > MAX_GRID_N:
+        raise ConfigError(f"grid_n: at most {MAX_GRID_N}, got {grid_n}")
 
     scheme = doc.get("scheme", "exp_euler")
     if scheme not in ("rk4", "exp_euler"):
@@ -196,7 +210,7 @@ def parse_config(text: str) -> RunConfig:
     initial = _require(doc, "initial", "top level")
     if not isinstance(initial, dict):
         raise ConfigError("initial: expected an object")
-    kind = _require(initial, "kind", "initial")
+    kind = _string(_require(initial, "kind", "initial"), "initial.kind")
     if kind not in _INITIAL_KEYS:
         raise ConfigError(f"initial.kind: unknown kind {kind!r}")
     _reject_unknown(initial, _INITIAL_KEYS[kind], "initial")
@@ -233,7 +247,7 @@ def parse_config(text: str) -> RunConfig:
         if not abs(initial["beta"]) < 1.0:
             raise ConfigError(f"initial.beta: |beta| must be < 1, got {initial['beta']}")
     else:  # file
-        _require(initial, "path", "initial")
+        _string(_require(initial, "path", "initial"), "initial.path")
 
     field_grid = None
     if doc.get("field_grid") is not None:
@@ -252,6 +266,8 @@ def parse_config(text: str) -> RunConfig:
         )
         if field_grid.nx < 1 or field_grid.ny < 1:
             raise ConfigError("field_grid: nx and ny must be >= 1")
+        if field_grid.nx * field_grid.ny > MAX_FIELD_POINTS:
+            raise ConfigError(f"field_grid: nx*ny at most {MAX_FIELD_POINTS}, got {field_grid.nx * field_grid.ny}")
         if field_grid.xmax <= field_grid.xmin or field_grid.ymax <= field_grid.ymin:
             raise ConfigError("field_grid: max bounds must exceed min bounds")
 
@@ -269,7 +285,7 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    output_dir = Path(doc.get("output_dir", "ibstring_out"))
+    output_dir = Path(_string(doc.get("output_dir", "ibstring_out"), "output_dir"))
     return RunConfig(
         grid_n=grid_n,
         stepper=stepper,
@@ -339,9 +355,17 @@ def write_snapshot(path: Path, X: CurveState) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _read_text(path: Path) -> str:
+    """UTF-8 text of a config or snapshot; undecodable bytes raise ConfigError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def read_snapshot(path: Path) -> CurveState:
     """Read a v1 curve snapshot; any malformed content raises ConfigError."""
-    lines = path.read_text().strip().splitlines()
+    lines = _read_text(path).strip().splitlines()
     if not lines or not lines[0].startswith("# ibstring-curve v1 N="):
         raise ConfigError(f"{path}: not an ibstring-curve v1 snapshot")
     header = lines[0].split("N=")[1]
@@ -349,6 +373,8 @@ def read_snapshot(path: Path) -> CurveState:
         n = int(header)
     except ValueError:
         raise ConfigError(f"{path}: header N={header!r} is not an integer") from None
+    if n > MAX_GRID_N:
+        raise ConfigError(f"{path}: N at most {MAX_GRID_N}, got {n}")
     if len(lines) - 1 != n:
         raise ConfigError(f"{path}: expected {n} sample rows, found {len(lines) - 1}")
     vals = np.empty((n, 2))
@@ -388,26 +414,17 @@ def write_diagnostics_csv(path: Path, rows: Sequence[DiagnosticsRow]) -> None:
     path.write_text("\n".join(diagnostics_lines(rows)) + "\n")
 
 
-def _field_row(X: CurveState, x: float, y: float) -> tuple[float, ...]:
-    point = np.array([x, y])
-    try:
-        u = off_curve_velocity(X, point)
-        p = pressure_at(X, point)
-    except OnCurvePointError:
-        return (x, y, float("nan"), float("nan"), float("nan"))
-    return (x, y, float(u[0]), float(u[1]), p)
-
-
 def write_field_csv(path: Path, X: CurveState, grid: FieldGrid) -> None:
-    """Sample velocity and pressure over the lattice (rows y-major).
-
-    Lattice points that coincide with a curve sample emit NaN columns.
+    """Sample velocity and pressure over the lattice (rows y-major) in one
+    batched evaluation. Lattice points that coincide with a curve sample emit
+    NaN columns.
     """
     xs = np.linspace(grid.xmin, grid.xmax, grid.nx)
     ys = np.linspace(grid.ymin, grid.ymax, grid.ny)
-    results = [_field_row(X, float(x), float(y)) for y in ys for x in xs]
+    points = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    u, p = _off_curve_flow(X, points)
     lines = ["x,y,u,v,p"]
-    lines.extend(",".join(_FMT % v for v in row) for row in results)
+    lines.extend(",".join(_FMT % v for v in row) for row in np.column_stack([points, u, p]).tolist())
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -454,7 +471,7 @@ def _write_run_outputs(out_dir: Path, result_rows, snapshots, final: CurveState)
 
 def cmd_simulate(config_path: Path) -> int:
     try:
-        cfg = parse_config(config_path.read_text())
+        cfg = parse_config(_read_text(config_path))
         initial = build_initial(cfg)
     except OSError as exc:
         print(f"error: cannot read configuration: {exc}", file=sys.stderr)
@@ -479,7 +496,7 @@ def cmd_simulate(config_path: Path) -> int:
 
 def cmd_field(config_path: Path, snapshot_path: Path) -> int:
     try:
-        cfg = parse_config(config_path.read_text())
+        cfg = parse_config(_read_text(config_path))
         X = read_snapshot(snapshot_path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -559,15 +576,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_verify.add_argument("--full", action="store_true", help="include the long-running criteria")
 
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return cmd_simulate(args.config)
-    if args.command == "field":
-        return cmd_field(args.config, args.snapshot)
-    if args.command == "spectrum":
-        return cmd_spectrum(args.k_max)
-    if args.command == "fit":
-        return cmd_fit(args.snapshot)
-    return cmd_verify(full=args.full)
+    try:
+        if args.command == "simulate":
+            return cmd_simulate(args.config)
+        if args.command == "field":
+            return cmd_field(args.config, args.snapshot)
+        if args.command == "spectrum":
+            return cmd_spectrum(args.k_max)
+        if args.command == "fit":
+            return cmd_fit(args.snapshot)
+        return cmd_verify(full=args.full)
+    except OSError as exc:  # e.g. an output directory that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -90,7 +90,8 @@ def _zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
     half = n // 2
     cm[:half] = c[:half]
     cm[m - half:] = c[half:]
-    out = np.real(np.fft.ifft(cm * m, axis=0))
+    cm *= m
+    out = np.fft.ifft(cm, axis=0).real.copy()  # a view would pin the complex buffer
     out.flags.writeable = False
     return out
 

@@ -92,6 +92,9 @@ class StepperConfig:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.dt > self.t_end:
             raise ValueError(f"dt = {self.dt} exceeds t_end = {self.t_end}")
+        steps = self.t_end / self.dt  # infinite when the ratio overflows
+        if not (steps < np.inf and abs(round(steps) * self.dt - self.t_end) <= 1e-9 * max(1.0, self.t_end)):
+            raise ValueError(f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}")
         if self.lambda_abort is not None and self.lambda_abort <= 0:
             raise ValueError(f"lambda_abort must be positive, got {self.lambda_abort}")
         if self.snapshot_every < 1:
@@ -198,9 +201,7 @@ def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
     restartable). Aborts with LambdaAbortError when the well-stretched
     constant drops below the threshold and with NonFiniteError on blow-up.
     """
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if n_steps < 1 or abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
-        raise ValueError(f"t_end = {cfg.t_end} is not an integer multiple of dt = {cfg.dt}")
+    n_steps = round(cfg.t_end / cfg.dt)  # a positive integer, by StepperConfig
     threshold = cfg.lambda_abort
     if threshold is None:
         threshold = 0.5 * well_stretched_constant(initial)

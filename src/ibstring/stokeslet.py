@@ -8,7 +8,8 @@ row blocks of their pair matrices; the public functions sum those rows.
 
 All on-curve integrals use the periodic trapezoid rule with the analytic
 removable-singularity limit substituted on the diagonal (no point exclusion).
-Off-curve evaluations closer than five grid spacings to the curve refine the
+Off-curve velocity and pressure come from one batched evaluator over point
+blocks; points closer than five grid spacings to the curve refine the
 quadrature on a band-limited upsampling of the same curve; see README for the
 accuracy envelope.
 """
@@ -21,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .curve import CurveState, _pair_blocks, _row_blocks
+from .curve import _BLOCK_ROWS, CurveState, _pair_blocks, _row_blocks
 from .spectral import GridField, fractional_laplacian_half
 
 __all__ = [
@@ -140,74 +141,81 @@ def on_curve_velocity(X: CurveState) -> GridField:
 # off-curve flow
 # ---------------------------------------------------------------------------
 
-def _nearest_sample(X: CurveState, x: np.ndarray) -> tuple[int, float]:
-    d2 = np.einsum("ij,ij->i", X.x.values - x[None, :], X.x.values - x[None, :])
-    jx = int(np.argmin(d2))  # ties resolve to the lowest index
-    return jx, float(np.sqrt(d2[jx]))
+# Pair entries (points x samples) per block of the off-curve evaluator: each
+# float64 temporary is the size of a _BLOCK_ROWS-row pair block at N = 1024.
+_BLOCK_ENTRIES = _BLOCK_ROWS * 1024
 
 
-def _quadrature_samples(X: CurveState, dist: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Curve samples to integrate against a point at the given distance.
+def _off_curve_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity (P, 2) and pressure (P,) at P points; NaN rows on the curve.
 
-    Within five grid spacings of the curve the trapezoid rule needs roughly
-    M*dist >= 32 sample points to push the aliasing error of the near-peaked
-    integrand to machine level, so the curve is refined by zero-padded FFT
-    (factor capped at 64).
+    Velocity: trapezoid of -d/ds'[G(x - X(s'))](X'(s') - X'(s_x)), s_x the
+    nearest sample (the constant X'(s_x) only conditions the quadrature).
+    Pressure: (1/2pi) * integral of |X'|^2/|X-x|^2 - 2((X-x).X')^2/|X-x|^4,
+    zero-constant gauge. Within 5h of the curve the rule needs M*dist >= 32
+    samples to push the aliasing error of the near-peaked integrand to machine
+    level, so the curve is refined by zero-padded FFT (factor <= 64). Each
+    factor's points go in (points, M) blocks with every sum along the
+    contiguous sample axis, so a row is bitwise the same in any block.
     """
-    factor = 1
-    if dist < 5.0 * X.h:
-        while factor < 64 and factor * X.n * dist < 32.0:
-            factor *= 2
-    xs, xps = X.upsampled(factor)
-    return xs, xps, 2.0 * np.pi / (X.n * factor)
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    px, py = points[:, 0].copy(), points[:, 1].copy()
+    v, vp = X.x.values, X.xp.values
+    nearest, d2 = np.empty(len(points), dtype=np.intp), np.empty(len(points))
+    step = max(1, _BLOCK_ENTRIES // X.n)
+    for lo in range(0, len(points), step):
+        r2 = (v[:, 0] - px[lo:lo + step, None]) ** 2 + (v[:, 1] - py[lo:lo + step, None]) ** 2
+        nearest[lo:lo + step] = np.argmin(r2, axis=1)  # ties resolve to the lowest index
+        d2[lo:lo + step] = r2.min(axis=1)
+    dist = np.sqrt(d2)
+    factor = np.ones(len(points), dtype=np.int64)
+    grow = dist < 5.0 * X.h
+    while (grow := grow & (factor < 64) & (factor * X.n * dist < 32.0)).any():
+        factor[grow] *= 2
 
-
-def off_curve_velocity(X: CurveState, x: np.ndarray) -> np.ndarray:
-    """Flow velocity at a point off the curve.
-
-    Trapezoid of -d/ds'[G(x - X(s'))](X'(s') - X'(s_x)), with s_x the nearest
-    curve sample; the constant X'(s_x) is analytically irrelevant and only
-    conditions the quadrature.
-    """
-    x = np.asarray(x, dtype=float)
-    jx, dist = _nearest_sample(X, x)
-    if dist == 0.0:
-        raise OnCurvePointError("point coincides with a curve sample; use on_curve_velocity")
-    xs, xps, h = _quadrature_samples(X, dist)
-    w = xs - x[None, :]
-    r2 = np.einsum("ij,ij->i", w, w)
-    a = xps
-    d = a - X.xp.values[jx][None, :]
-    wa = np.einsum("ij,ij->i", w, a)
-    wd = np.einsum("ij,ij->i", w, d)
-    ad = np.einsum("ij,ij->i", a, d)
-    term = (wa / r2)[:, None] * d - (wd / r2)[:, None] * a - (ad / r2)[:, None] * w
-    term += (2.0 * wa * wd / r2**2)[:, None] * w
-    return h * term.sum(axis=0) / _FOUR_PI
-
-
-def pressure_at(X: CurveState, x: np.ndarray) -> float:
-    """Pressure at a point off the curve, in the zero-constant gauge.
-
-    (1/2pi) * integral of |X'|^2/|X-x|^2 - 2((X-x).X')^2/|X-x|^4. Only
-    pressure differences are physical; the additive constant is fixed to 0.
-    """
-    x = np.asarray(x, dtype=float)
-    _, dist = _nearest_sample(X, x)
-    if dist == 0.0:
-        raise OnCurvePointError("pressure jumps across the membrane; evaluate off the curve")
-    xs, xps, h = _quadrature_samples(X, dist)
-    w = xs - x[None, :]
-    r2 = np.einsum("ij,ij->i", w, w)
-    a2 = np.einsum("ij,ij->i", xps, xps)
-    wa = np.einsum("ij,ij->i", w, xps)
-    return float(h * np.sum(a2 / r2 - 2.0 * wa**2 / r2**2) / (2.0 * np.pi))
+    u, p = np.full((len(points), 2), np.nan), np.full(len(points), np.nan)
+    off = dist > 0.0
+    # largest factor first, while the fewest upsamplings are cached on X
+    for f in np.unique(factor[off])[::-1].tolist():
+        xs, xps = X.upsampled(f)
+        h = 2.0 * np.pi / (X.n * f)
+        ax, ay = xps[:, 0].copy(), xps[:, 1].copy()
+        group = np.flatnonzero(off & (factor == f))
+        step = max(1, _BLOCK_ENTRIES // len(ax))
+        for lo in range(0, len(group), step):
+            idx = group[lo:lo + step]
+            wx, wy = xs[:, 0] - px[idx, None], xs[:, 1] - py[idx, None]
+            dx, dy = ax - vp[nearest[idx], 0, None], ay - vp[nearest[idx], 1, None]
+            r2 = wx * wx + wy * wy
+            wa, wd, ad = wx * ax + wy * ay, wx * dx + wy * dy, ax * dx + ay * dy
+            r4 = r2 * r2
+            p[idx] = h * np.sum((ax * ax + ay * ay) / r2 - 2.0 * wa**2 / r4, axis=1) / (2.0 * np.pi)
+            c_w = 2.0 * wa * wd / r4
+            for c in (wa, wd, ad):  # in place: at factor 64 a block row is 0.5 MB
+                c /= r2
+            for k, (d, a, w) in enumerate(((dx, ax, wx), (dy, ay, wy))):
+                u[idx, k] = h * np.sum(wa * d - wd * a - ad * w + c_w * w, axis=1) / _FOUR_PI
+    return u, p
 
 
 def sample_flow(X: CurveState, x: np.ndarray) -> FlowSample:
-    """Velocity and pressure at one off-curve point."""
-    x = np.asarray(x, dtype=float)
-    return FlowSample(u=off_curve_velocity(X, x), p=pressure_at(X, x), location=x.copy())
+    """Velocity and pressure at one off-curve point: the batched evaluator's
+    one-point case."""
+    u, p = _off_curve_flow(X, x)
+    if np.isnan(p[0]):
+        raise OnCurvePointError("point coincides with a curve sample; use on_curve_velocity")
+    return FlowSample(u=u[0], p=float(p[0]), location=np.array(x, dtype=float))
+
+
+def off_curve_velocity(X: CurveState, x: np.ndarray) -> np.ndarray:
+    """Flow velocity at a point off the curve."""
+    return sample_flow(X, x).u
+
+
+def pressure_at(X: CurveState, x: np.ndarray) -> float:
+    """Pressure at a point off the curve, in the zero-constant gauge (only
+    pressure differences are physical)."""
+    return sample_flow(X, x).p
 
 
 # ---------------------------------------------------------------------------

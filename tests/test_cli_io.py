@@ -7,6 +7,8 @@ import pytest
 
 from ibstring import make_circle, make_perturbed_circle, PerturbationMode
 from ibstring.cli_io import (
+    MAX_FIELD_POINTS,
+    MAX_GRID_N,
     ConfigError,
     build_initial,
     canonical_config,
@@ -310,6 +312,145 @@ class TestMalformedInputs:
         ))
         assert main(["field", str(cfg_path), str(snap)]) == 2
         assert not (tmp_path / "out").exists()
+
+    def test_non_string_initial_path_exit_2(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(output_dir=str(tmp_path / "out"), initial={"kind": "file", "path": 5}))
+        with pytest.raises(ConfigError, match="initial.path"):
+            parse_config(cfg_path.read_text())
+        assert main(["simulate", str(cfg_path)]) == 2
+
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        good_snap = tmp_path / "snap.csv"
+        write_snapshot(good_snap, make_circle(8))
+        good_cfg = tmp_path / "cfg.json"
+        good_cfg.write_text(config_text(
+            output_dir=str(tmp_path / "out"),
+            field_grid={"xmin": -0.5, "xmax": 0.5, "ymin": -0.5, "ymax": 0.5, "nx": 2, "ny": 2},
+        ))
+        bad_snap, bad_cfg = tmp_path / "bad.csv", tmp_path / "bad.json"
+        bad_snap.write_bytes(b"\xff\xfe" + good_snap.read_bytes())
+        bad_cfg.write_bytes(b"\xff\xfe" + good_cfg.read_bytes())
+        assert main(["fit", str(bad_snap)]) == 2
+        assert main(["field", str(good_cfg), str(bad_snap)]) == 2
+        assert main(["field", str(bad_cfg), str(good_snap)]) == 2
+        assert main(["simulate", str(bad_cfg)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_grid_n_and_lattice_bounded(self):
+        assert parse_config(config_text(grid_n=MAX_GRID_N)).grid_n == MAX_GRID_N
+        with pytest.raises(ConfigError, match=f"grid_n: at most {MAX_GRID_N}"):
+            parse_config(config_text(grid_n=MAX_GRID_N + 2))
+        side = int(MAX_FIELD_POINTS**0.5)
+        grid = {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": side, "ny": MAX_FIELD_POINTS // side}
+        assert parse_config(config_text(field_grid=grid)).field_grid.nx == side
+        with pytest.raises(ConfigError, match=f"field_grid: nx\\*ny at most {MAX_FIELD_POINTS}"):
+            parse_config(config_text(field_grid=dict(grid, nx=100_000, ny=100_000)))
+
+    def test_snapshot_n_bounded(self, tmp_path):
+        snap = tmp_path / "big.csv"
+        snap.write_text(f"# ibstring-curve v1 N={MAX_GRID_N + 2}\n")
+        with pytest.raises(ConfigError, match=f"at most {MAX_GRID_N}"):
+            read_snapshot(snap)
+
+    @pytest.mark.parametrize("overrides", [
+        {"dt": 0.03},
+        {"dt": 1e-300, "t_end": 1e300},
+        {"output_dir": 5},
+        {"initial": {"kind": ["circle"]}},
+    ], ids=["t_end_not_multiple_of_dt", "step_count_overflows", "output_dir_number", "kind_list"])
+    def test_config_value_errors_exit_2(self, tmp_path, overrides):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(**{"output_dir": str(tmp_path / "out"), **overrides}))
+        assert main(["simulate", str(cfg_path)]) == 2
+
+    def test_unwritable_output_dir_exit_1(self, tmp_path):
+        snap = tmp_path / "snap.csv"
+        write_snapshot(snap, make_circle(64))
+        cfg_path = tmp_path / "cfg.json"  # output_dir names an existing file
+        cfg_path.write_text(config_text(
+            output_dir=str(snap),
+            field_grid={"xmin": -0.5, "xmax": 0.5, "ymin": -0.5, "ymax": 0.5, "nx": 2, "ny": 2},
+        ))
+        assert main(["simulate", str(cfg_path)]) == 1
+        assert main(["field", str(cfg_path), str(snap)]) == 1
+
+
+# values of every JSON type, small enough that a mutated run stays short
+_FUZZ_VALUES = [None, True, "x", [], {}, [0, 1], -1, 0, 0.5, 3]
+
+
+def _fuzz_paths(doc, prefix=()):
+    """Every (container, key) path into a nested JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _fuzz_paths(value, prefix + (key,))
+
+
+def _mutate_doc(rng, doc):
+    doc = json.loads(json.dumps(doc))
+    paths = list(_fuzz_paths(doc))
+    *parents, key = paths[rng.integers(len(paths))]
+    container = doc
+    for k in parents:
+        container = container[k]
+    if rng.random() < 0.5:
+        del container[key]
+    else:
+        container[key] = _FUZZ_VALUES[rng.integers(len(_FUZZ_VALUES))]
+    return json.dumps(doc).encode()
+
+
+def _mutate_bytes(rng, data):
+    if rng.random() < 0.5:  # truncate, mid-line or at a line end
+        cut = int(rng.integers(len(data)))
+        return data[:data.rfind(b"\n", 0, cut) + 1] if rng.random() < 0.5 else data[:cut]
+    data = bytearray(data)
+    for pos in rng.integers(len(data), size=int(rng.integers(1, 4))):
+        data[pos] = int(rng.integers(256))
+    return bytes(data)
+
+
+def test_fuzzed_inputs_never_raise(tmp_path, monkeypatch, capsys):
+    """Seeded mutations of valid configs and snapshots (deleted keys, wrong
+    JSON types, truncated lines, random bytes) through main: every case ends
+    in a documented exit code, never an uncaught exception."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(20240531)
+    snap = tmp_path / "snap.csv"
+    write_snapshot(snap, make_perturbed_circle(16, 1.0, [PerturbationMode(2, 0.05, 0.02)]))
+    valid_snapshot = snap.read_bytes()
+    field_grid = {"xmin": -1.5, "xmax": 1.5, "ymin": -1.5, "ymax": 1.5, "nx": 3, "ny": 3}
+    common = {"grid_n": 16, "dt": 0.05, "t_end": 0.1, "snapshot_every": 1, "output_dir": "out",
+              "field_grid": field_grid}
+    configs = [
+        dict(common, initial={"kind": "circle", "radius": 1.0, "theta": 0.1, "center": [0.0, 0.5]}),
+        dict(common, scheme="rk4", dealias={"enabled": True, "cutoff_fraction": 0.5, "krasny_floor": 0.0},
+             initial={"kind": "perturbed_circle", "modes": [{"k": 2, "amp_x": 0.05, "phase_y": 0.3}]}),
+        dict(common, lambda_abort=0.1, initial={"kind": "reparam_circle", "beta": 0.3}),
+        dict(common, initial={"kind": "file", "path": "snap.csv"}),
+    ]
+    cases = []
+    for i in range(160):
+        doc = configs[i % len(configs)]
+        text = _mutate_doc(rng, doc) if i % 3 else _mutate_bytes(rng, json.dumps(doc).encode())
+        cases.append((text, valid_snapshot))
+    for _ in range(80):
+        cases.append((json.dumps(configs[3]).encode(), _mutate_bytes(rng, valid_snapshot)))
+    seen = set()
+    for i, (config, snapshot) in enumerate(cases):
+        (tmp_path / "cfg.json").write_bytes(config)
+        snap.write_bytes(snapshot)
+        for argv in (["simulate", "cfg.json"], ["field", "cfg.json", "snap.csv"], ["fit", "snap.csv"]):
+            try:
+                code = main(argv)
+            except Exception as exc:  # report the case that escaped
+                raise AssertionError(f"case {i} {argv[0]}: {exc!r}\nconfig {config!r}\nsnapshot {snapshot[:80]!r}") from exc
+            assert code in range(6), (i, argv, code)
+            seen.add(code)
+    capsys.readouterr()
+    assert {0, 2} <= seen  # the mutations reach both the success and the config-error paths
 
 
 def test_simulate_twice_byte_identical(tmp_path):

@@ -1,5 +1,9 @@
 """Boundary-integral kernels: Green's functions, on/off-curve flow, forcing."""
 
+import importlib
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,6 +29,7 @@ from ibstring.stokeslet import (
     OnCurvePointError,
     _forcing_derivative_rows,
     _forcing_derivative_rows_direct,
+    _off_curve_flow,
     _tau_factor,
     _velocity_rows,
 )
@@ -230,6 +235,108 @@ class TestOffCurveFlow:
             )
             gaps.append(gap)
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+def pointwise_flow(X: CurveState, x: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """The per-point off-curve velocity and pressure that the batched evaluator
+    replaced, kept as its oracle; also returns the upsampling factor used."""
+    d2 = np.einsum("ij,ij->i", X.x.values - x[None, :], X.x.values - x[None, :])
+    jx = int(np.argmin(d2))
+    dist = float(np.sqrt(d2[jx]))
+    factor = 1
+    if dist < 5.0 * X.h:
+        while factor < 64 and factor * X.n * dist < 32.0:
+            factor *= 2
+    xs, xps = X.upsampled(factor)
+    h = 2.0 * np.pi / (X.n * factor)
+    w = xs - x[None, :]
+    r2 = np.einsum("ij,ij->i", w, w)
+    a = xps
+    d = a - X.xp.values[jx][None, :]
+    wa = np.einsum("ij,ij->i", w, a)
+    wd = np.einsum("ij,ij->i", w, d)
+    ad = np.einsum("ij,ij->i", a, d)
+    term = (wa / r2)[:, None] * d - (wd / r2)[:, None] * a - (ad / r2)[:, None] * w
+    term += (2.0 * wa * wd / r2**2)[:, None] * w
+    u = h * term.sum(axis=0) / (4.0 * np.pi)
+    a2 = np.einsum("ij,ij->i", xps, xps)
+    p = float(h * np.sum(a2 / r2 - 2.0 * wa**2 / r2**2) / (2.0 * np.pi))
+    return u, p, factor
+
+
+def lattice_with_every_factor(X: CurveState) -> np.ndarray:
+    """A coarse lattice plus points on both sides of the curve at distances
+    48 / (f N), which take upsampling factor f = 1, 2, ..., 64."""
+    xs = np.linspace(-1.6, 1.6, 9)
+    points = [(x, y) for y in xs for x in xs]
+    for j in (0, X.n // 3, X.n // 2 + 1):
+        t = X.xp.values[j] / np.linalg.norm(X.xp.values[j])
+        normal = np.array([-t[1], t[0]])
+        for f in (1, 2, 4, 8, 16, 32, 64):
+            for sgn in (1.0, -1.0):
+                points.append(tuple(X.x.values[j] + sgn * 48.0 / (f * X.n) * normal))
+    return np.array(points)
+
+
+class TestBatchedOffCurveFlow:
+    def test_matches_pointwise_oracle_in_every_factor_group(self, rng):
+        X = random_smooth_curve(rng, 64)
+        points = lattice_with_every_factor(X)
+        u, p = _off_curve_flow(X, points)
+        refs = [pointwise_flow(X, x) for x in points]
+        assert {f for _, _, f in refs} == {1, 2, 4, 8, 16, 32, 64}
+        ref = np.array([[ru[0], ru[1], rp] for ru, rp, _ in refs])
+        got = np.column_stack([u, p])
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_rows_bitwise_independent_of_blocks_and_order(self, rng, monkeypatch):
+        X = random_smooth_curve(rng, 64)
+        points = lattice_with_every_factor(X)
+        u, p = _off_curve_flow(X, points)
+        for x, ux, px in zip(points, u, p):
+            uy, py = _off_curve_flow(X, x)
+            assert uy[0].tolist() == ux.tolist() and py[0] == px
+        order = rng.permutation(len(points))
+        us, ps = _off_curve_flow(X, points[order])
+        assert np.array_equal(us, u[order]) and np.array_equal(ps, p[order])
+        for entries in (1, 7 * X.n, 64 * X.n):  # 1, 7 and 64 points per factor-1 block
+            monkeypatch.setattr(importlib.import_module("ibstring.stokeslet"), "_BLOCK_ENTRIES", entries)
+            ub, pb = _off_curve_flow(X, points)
+            assert np.array_equal(ub, u) and np.array_equal(pb, p)
+
+    def test_on_curve_points_give_nan_rows_without_warnings(self):
+        X = make_perturbed_circle(64, 1.0, [PerturbationMode(2, 0.05, 0.0)])
+        points = np.array([[0.1, 0.2], X.x.values[5], [1.7, -0.3], X.x.values[40]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, p = _off_curve_flow(X, points)
+            for x in (points[1], points[3]):
+                with pytest.raises(OnCurvePointError):
+                    off_curve_velocity(X, x)
+                with pytest.raises(OnCurvePointError):
+                    pressure_at(X, x)
+                with pytest.raises(OnCurvePointError):
+                    sample_flow(X, x)
+        assert np.isnan(u[[1, 3]]).all() and np.isnan(p[[1, 3]]).all()
+        assert np.isfinite(u[[0, 2]]).all() and np.isfinite(p[[0, 2]]).all()
+
+    def test_lattice_memory_peak(self):
+        # the field benchmark's size: N = 1024 and an 80 x 80 lattice, with
+        # the upsamplings built (and counted) inside the evaluation
+        modes = [PerturbationMode(k, 0.008, 0.006, 0.3 * k, 1.1 * k) for k in range(2, 7)]
+        samples = make_perturbed_circle(1024, 1.0, modes).x
+        axis = np.linspace(-1.6, 1.6, 80)
+        points = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        X = CurveState(samples)
+        tracemalloc.start()
+        try:
+            u, p = _off_curve_flow(X, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(X._upsampled) >= 5  # the near-curve groups were exercised
+        assert np.isfinite(u).all() and np.isfinite(p).all()
+        assert peak < 16e6
 
 
 class TestDissipation:
