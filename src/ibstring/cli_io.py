@@ -270,6 +270,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"field_grid: nx*ny at most {MAX_FIELD_POINTS}, got {field_grid.nx * field_grid.ny}")
         if field_grid.xmax <= field_grid.xmin or field_grid.ymax <= field_grid.ymin:
             raise ConfigError("field_grid: max bounds must exceed min bounds")
+        if not (math.isfinite(field_grid.xmax - field_grid.xmin) and math.isfinite(field_grid.ymax - field_grid.ymin)):
+            raise ConfigError("field_grid: the spans xmax - xmin and ymax - ymin must be finite")
 
     try:
         stepper = StepperConfig(

@@ -2,7 +2,7 @@
 
 A CurveState holds N uniform samples of a closed planar curve X on the torus
 together with its first two spectral derivatives. Geometry helpers: the
-row-blocked chord / derivative slopes of all sample pairs, the well-stretched
+row-blocked chords of X and X' over all sample pairs, the well-stretched
 constant, enclosed area, effective radius and the elastic (stretching) energy.
 """
 
@@ -36,7 +36,7 @@ class OrientationError(ValueError):
 
 
 class DegenerateCurveError(ValueError):
-    """Two samples coincide (or a chord slope vanished) at grid resolution."""
+    """Two samples coincide (or the tangent X' vanished) at grid resolution."""
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,9 @@ def _zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
 
 
 # Rows per block of the pair matrices, so that each (rows, N) float64
-# temporary stays cache-sized. On a 2-core Xeon with 2 MB of L2 per core, the
-# on-curve velocity at N = 1024 took 37 ms with 32 rows, 39-46 ms with 8, 16
-# or 64, and 60 and 70 ms with 128 and 256 rows (medians of 15 runs).
+# temporary stays cache-sized. On a 2-core Xeon (2 MB L2 per core) the on-curve
+# velocity at N = 1024 took 21-26 ms with 16 or 32 rows, 24-30 with 8 or 64 and
+# 29-31 with 128; at N = 256, 32 rows beat 16 (2.0 vs 2.5 ms; medians of 21).
 _BLOCK_ROWS = 32
 
 
@@ -123,36 +123,40 @@ def _row_blocks(n: int):
         yield rows, (cols - start, cols), tau_rows[rows], inv_rows[rows]
 
 
-def _chord_slopes(v: np.ndarray, rows: slice, inv_tau: np.ndarray):
-    """Components of (v(s') - v(s)) / tau for the block rows; 0 on the diagonal."""
-    return (v[:, 0] - v[rows, 0, None]) * inv_tau, (v[:, 1] - v[rows, 1, None]) * inv_tau
+def _workspace(k: int, n: int) -> np.ndarray:
+    """k row-block arrays for every block of a pass to reuse: fresh (rows, N)
+    arrays per block cost thousands of page faults once the heap is trimmed."""
+    return np.empty((k, min(_BLOCK_ROWS, n), n))
 
 
 def _pair_blocks(X: CurveState) -> Iterator[tuple]:
-    """Row blocks of the chord and derivative slopes L, M and of |L|^2.
+    """Row blocks of the chords w = X(s') - X(s), d = X'(s') - X'(s) and |w|^2.
 
-    Yields (rows, diag, Lx, Ly, Mx, My, L2, tau, inv_tau): rows of the (N, N)
-    pair matrices as (rows, N) arrays, with the diagonal limits L = X' and
-    M = X'' at the block's diagonal entries `diag`; tau and inv_tau are as in
-    _row_blocks. Raises DegenerateCurveError as soon as a block holds
-    |L|^2 <= 0. Once the last block is out, the well-stretched constant is
-    memoized on X: since |tau| is the torus distance, it is
-    sqrt(min over j != j' of |L|^2).
+    Yields (rows, diag, wx, wy, dx, dy, w2, tau, inv_tau) as (rows, N) arrays;
+    the next block overwrites all but tau and inv_tau (as in _row_blocks).
+    At the diagonal entries `diag` w = d = 0 and w2 = inf, so 1/|w|^2 = 0.
+    Raises DegenerateCurveError on an off-diagonal |w|^2 <= 0 or a diagonal
+    |X'|^2 <= 0. After the last block it memoizes the well-stretched
+    constant sqrt(min over j != j' of |w|^2 (1/tau)^2) on X.
     """
-    v, vp, vpp = X.x.values, X.xp.values, X.xpp.values
+    (x, y), (ax, ay) = X.x.values.T.copy(), X.xp.values.T.copy()
+    speed_sq = ax * ax + ay * ay
+    work = _workspace(6, X.n)
     lam_sq = np.inf
     for rows, diag, tau, inv_tau in _row_blocks(X.n):
-        Lx, Ly = _chord_slopes(v, rows, inv_tau)
-        Mx, My = _chord_slopes(vp, rows, inv_tau)
-        L2 = Lx * Lx + Ly * Ly
-        L2[diag] = np.inf
-        lam_sq = min(lam_sq, float(L2.min()))
-        Lx[diag], Ly[diag] = vp[rows, 0], vp[rows, 1]
-        Mx[diag], My[diag] = vpp[rows, 0], vpp[rows, 1]
-        L2[diag] = vp[rows, 0] * vp[rows, 0] + vp[rows, 1] * vp[rows, 1]
-        if lam_sq <= 0.0 or float(L2[diag].min()) <= 0.0:
+        wx, wy, dx, dy, w2, ratio = work[:, : rows.stop - rows.start]
+        for chord, c in ((wx, x), (wy, y), (dx, ax), (dy, ay)):
+            np.subtract(c, c[rows, None], out=chord)
+        np.multiply(wx, wx, out=w2)
+        w2 += np.multiply(wy, wy, out=ratio)
+        np.multiply(inv_tau, inv_tau, out=ratio)
+        ratio *= w2
+        ratio[diag] = np.inf
+        lam_sq = min(lam_sq, float(ratio.min()))
+        if lam_sq <= 0.0 or float(speed_sq[rows].min()) <= 0.0:
             raise DegenerateCurveError("coincident samples: curve degenerate at grid resolution")
-        yield rows, diag, Lx, Ly, Mx, My, L2, tau, inv_tau
+        w2[diag] = np.inf
+        yield rows, diag, wx, wy, dx, dy, w2, tau, inv_tau
     object.__setattr__(X, "_well_stretched", float(np.sqrt(lam_sq)))
 
 
@@ -160,17 +164,16 @@ def well_stretched_constant(X: CurveState) -> float:
     """Smallest chord-to-torus-distance ratio over all distinct sample pairs.
 
     Positive for non-self-intersecting configurations; values near zero flag
-    degeneracy at grid resolution. A state whose on-curve velocity has been
-    computed returns the value that pass left behind.
+    degeneracy at grid resolution, and it is 0 when two samples coincide or
+    the tangent vanishes at one. Any full pass of _pair_blocks, such as the
+    on-curve velocity's, leaves it memoized on X.
     """
     if X._well_stretched is None:
-        lam_sq = np.inf
-        for rows, diag, _, inv_tau in _row_blocks(X.n):
-            Lx, Ly = _chord_slopes(X.x.values, rows, inv_tau)
-            L2 = Lx * Lx + Ly * Ly
-            L2[diag] = np.inf
-            lam_sq = min(lam_sq, float(L2.min()))
-        object.__setattr__(X, "_well_stretched", float(np.sqrt(lam_sq)))
+        try:
+            for _ in _pair_blocks(X):
+                pass
+        except DegenerateCurveError:
+            return 0.0
     return X._well_stretched
 
 

@@ -3,7 +3,7 @@
 Velocity Green's function of steady 2-D Stokes flow, the regularized on-curve
 velocity integrand, off-curve velocity/pressure, the energy dissipation rate,
 the nonstiff forcing of the contour dynamics and the s-derivative of that
-forcing. The on-curve integrands exist once, as private generators of the
+forcing. The on-curve integrands exist once, as private generators over the
 row blocks of their pair matrices; the public functions sum those rows.
 
 All on-curve integrals use the periodic trapezoid rule with the analytic
@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .curve import _BLOCK_ROWS, CurveState, _pair_blocks, _row_blocks
+from .curve import _BLOCK_ROWS, CurveState, _pair_blocks, _row_blocks, _workspace
 from .spectral import GridField, fractional_laplacian_half
 
 __all__ = [
@@ -77,53 +77,33 @@ def pressure_kernel(x: np.ndarray) -> np.ndarray:
 # on-curve velocity
 # ---------------------------------------------------------------------------
 
-# (rows, fx, fy): one row block of an integrand's pair matrix, times 4pi
-_Rows = Iterator[tuple[slice, np.ndarray, np.ndarray]]
+def _velocity_rows(X: CurveState) -> Iterator[tuple]:
+    """Row blocks (rows, C, D, E, wx, wy) of 4pi times the on-curve velocity
+    integrand C a^perp - D a + E w, with a = X'(s') and a^perp = (-a_y, a_x).
 
-
-def _trapezoid(X: CurveState, row_blocks: _Rows) -> GridField:
-    """Periodic trapezoid over s' of integrand rows scaled by 4pi."""
-    out = np.empty((X.n, 2))
-    for rows, fx, fy in row_blocks:
-        out[rows, 0] = fx.sum(axis=1)
-        out[rows, 1] = fy.sum(axis=1)
-    return GridField(X.h * out / _FOUR_PI)
-
-
-def _velocity_rows(X: CurveState) -> _Rows:
-    """Row blocks (rows, ux, uy) of 4pi times the on-curve velocity integrand.
-
-    Off the diagonal the integrand is the chord-slope form
-    (1/4pi)[(L.a)/|L|^2 M - (L.M)/|L|^2 a - (a.M)/|L|^2 L + 2(L.a)(L.M)/|L|^4 L]
-    with a = X'(s'); on the diagonal its removable-singularity limit X''(s)/4pi.
-    Once the last block is out, the well-stretched constant is memoized on X.
+    The chord-slope form is homogeneous of degree 0 in tau, so it is written in
+    the chords w, d of _pair_blocks: (w.a)d - (a.d)w = (w x d) a^perp gives
+    C = (w x d)/|w|^2, D = (w.d)/|w|^2, E = 2(w.a)/|w|^2 D, and on the diagonal
+    C = D = 0, E w = X''(s). The next block overwrites all five arrays.
     """
     vp, vpp = X.xp.values, X.xpp.values
-    ax, ay = vp[:, 0], vp[:, 1]
-    for rows, diag, Lx, Ly, Mx, My, L2, _, _ in _pair_blocks(X):
-        # La M - LM a - aM L with La = (L.a)/|L|^2, LM = (L.M)/|L|^2 and
-        # aM = (a.M)/|L|^2 - 2 La LM; formed in place, since the pass is
-        # memory-bound and each (rows, N) temporary should be written once
-        inv = 1.0 / L2
-        La = Lx * ax
-        La += Ly * ay
-        La *= inv
-        LM = Lx * Mx
-        LM += Ly * My
-        LM *= inv
-        aM = ax * Mx
-        aM += ay * My
-        aM *= inv
-        aM -= 2.0 * La * LM
-        ux = La * Mx
-        ux -= LM * ax
-        ux -= aM * Lx
-        uy = La * My
-        uy -= LM * ay
-        uy -= aM * Ly
-        ux[diag] = vpp[rows, 0]  # removable-singularity limit (X''/4pi after scaling)
-        uy[diag] = vpp[rows, 1]
-        yield rows, ux, uy
+    ax2, ay2 = 2.0 * vp[:, 0], 2.0 * vp[:, 1]
+    work = _workspace(5, X.n)
+    for rows, diag, wx, wy, dx, dy, w2, _, _ in _pair_blocks(X):
+        inv, C, D, E, t = work[:, : rows.stop - rows.start]
+        np.divide(1.0, w2, out=inv)  # 0 on the diagonal
+        np.multiply(wx, dy, out=C)
+        C -= np.multiply(wy, dx, out=t)
+        C *= inv
+        np.multiply(wx, dx, out=D)
+        D += np.multiply(wy, dy, out=t)
+        D *= inv
+        np.multiply(wx, ax2, out=E)
+        E += np.multiply(wy, ay2, out=t)
+        E *= inv
+        E *= D
+        E[diag], wx[diag], wy[diag] = 1.0, vpp[rows, 0], vpp[rows, 1]  # E w = X''(s)
+        yield rows, C, D, E, wx, wy
 
 
 def on_curve_velocity(X: CurveState) -> GridField:
@@ -131,10 +111,17 @@ def on_curve_velocity(X: CurveState) -> GridField:
 
     The integrand is smooth across the diagonal, so the rule is spectrally
     accurate; this is the full right-hand side of the contour dynamics. The
-    pass runs over row blocks of the pair matrices and leaves the
-    well-stretched constant memoized on X.
+    pass runs over row blocks of the pair matrices, sums each block's rows
+    with BLAS products, and leaves the well-stretched constant memoized on X.
     """
-    return _trapezoid(X, _velocity_rows(X))
+    vp = X.xp.values
+    a_perp = np.stack([-vp[:, 1], vp[:, 0]], axis=1)
+    out = np.empty((X.n, 2))
+    for rows, C, D, E, wx, wy in _velocity_rows(X):
+        out[rows] = C @ a_perp - D @ vp
+        for k, w in enumerate((wx, wy)):  # E.w row by row, one BLAS dot each
+            out[rows, k] += np.matmul(E[:, None, :], w[:, :, None])[:, 0, 0]
+    return GridField(X.h * out / _FOUR_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +255,21 @@ def _tau_factor(tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forcing_derivative_rows(X: CurveState) -> _Rows:
+def _forcing_derivative_rows(X: CurveState) -> Iterator[tuple]:
     """Row blocks (rows, gx, gy) of 4pi times the simplified integrand of the
     s-derivative of the nonstiff forcing.
 
-    Closed form in the difference quotients L, M and N = (L - X'(s))/tau, with
-    b = X'(s); its continuous limit on the diagonal is zero.
+    Closed form in the quotients L = w/tau, M = d/tau of _pair_blocks' chords
+    (diagonal limits X', X'') and N = (L - X'(s))/tau, with b = X'(s); its
+    continuous limit on the diagonal is zero.
     """
-    vp = X.xp.values
+    vp, vpp = X.xp.values, X.xpp.values
     ax, ay = vp[:, 0], vp[:, 1]
-    for rows, diag, Lx, Ly, Mx, My, L2, tau, inv_tau in _pair_blocks(X):
+    for rows, diag, wx, wy, dx, dy, _, tau, inv_tau in _pair_blocks(X):
+        Lx, Ly, Mx, My = wx * inv_tau, wy * inv_tau, dx * inv_tau, dy * inv_tau
+        Lx[diag], Ly[diag] = vp[rows, 0], vp[rows, 1]
+        Mx[diag], My[diag] = vpp[rows, 0], vpp[rows, 1]
+        L2 = Lx * Lx + Ly * Ly
         bx = vp[rows, 0, None]
         by = vp[rows, 1, None]
         # N = (L - X'(s))/tau off the diagonal (diagonal is overwritten to zero)
@@ -310,7 +302,7 @@ def _forcing_derivative_rows(X: CurveState) -> _Rows:
         yield rows, gx, gy
 
 
-def _forcing_derivative_rows_direct(X: CurveState) -> _Rows:
+def _forcing_derivative_rows_direct(X: CurveState) -> Iterator[tuple]:
     """Row blocks (rows, gx, gy) of 4pi times the unsimplified integrand.
 
     Chain-rule expansion of the mixed derivative of the log kernel, minus the
@@ -354,4 +346,7 @@ def forcing_derivative_quadrature(X: CurveState) -> GridField:
     rule is spectrally accurate; cross-checks the spectral derivative of
     nonstiff_forcing.
     """
-    return _trapezoid(X, _forcing_derivative_rows(X))
+    out = np.empty((X.n, 2))
+    for rows, gx, gy in _forcing_derivative_rows(X):
+        out[rows, 0], out[rows, 1] = gx.sum(axis=1), gy.sum(axis=1)
+    return GridField(X.h * out / _FOUR_PI)

@@ -1,6 +1,7 @@
 """Configuration parsing, file formats, subcommands and exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,22 @@ class TestMalformedInputs:
             field_grid={"xmin": float("nan"), "xmax": 0.5, "ymin": -0.5, "ymax": 0.5, "nx": 2, "ny": 2},
         ))
         assert main(["field", str(cfg_path), str(snap)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_overflowing_field_grid_span_exit_2(self, tmp_path, axis):
+        # both bounds are finite, but their difference overflows a double
+        snap = tmp_path / "snap.csv"
+        write_snapshot(snap, make_circle(64))
+        grid = {"xmin": -0.5, "xmax": 0.5, "ymin": -0.5, "ymax": 0.5, "nx": 3, "ny": 2}
+        grid.update({f"{axis}min": -1e308, f"{axis}max": 1e308})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(output_dir=str(tmp_path / "out"), field_grid=grid))
+        with pytest.raises(ConfigError, match="field_grid: the spans"):
+            parse_config(cfg_path.read_text())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["field", str(cfg_path), str(snap)]) == 2
         assert not (tmp_path / "out").exists()
 
     def test_non_string_initial_path_exit_2(self, tmp_path):

@@ -22,22 +22,36 @@ from ibstring.equilibrium import closest_equilibrium
 from conftest import grid, random_smooth_curve
 
 
-def pair_quotients(X: CurveState):
-    """(L, M, N, tau) over all sample pairs, assembled from the row blocks.
+def pair_chords(X: CurveState):
+    """(w, d, w2, tau, inv_tau) over all sample pairs, from _pair_blocks.
 
-    L and M are the chord and derivative slopes of _pair_blocks, with their
-    diagonal limits X' and X''; N = (L - X'(s)) / tau off the diagonal and 0
-    on it. Vector quotients have shape (N, N, 2), tau has shape (N, N).
+    w and d are the chords of X and X', shape (N, N, 2); |w|^2, tau and 1/tau
+    have shape (N, N). The blocks share one workspace, so each is copied.
     """
-    blocks = list(_pair_blocks(X))
+    w, d, w2, tau, inv_tau = [], [], [], [], []
+    for _, _, wx, wy, dx, dy, b2, t, it in _pair_blocks(X):
+        w.append(np.stack([wx, wy], axis=-1))
+        d.append(np.stack([dx, dy], axis=-1))
+        w2.append(b2.copy())
+        tau.append(t)
+        inv_tau.append(it)
+    return tuple(np.concatenate(part) for part in (w, d, w2, tau, inv_tau))
 
-    def stacked(i):
-        return np.concatenate([b[i] for b in blocks])
 
-    L = np.stack([stacked(2), stacked(3)], axis=-1)
-    M = np.stack([stacked(4), stacked(5)], axis=-1)
-    N = (L - X.xp.values[:, None, :]) * stacked(8)[..., None]
-    return L, M, N, stacked(7)
+def pair_quotients(X: CurveState):
+    """(L, M, N, tau) over all sample pairs, formed from the chords.
+
+    L = w/tau and M = d/tau off the diagonal, with their diagonal limits X'
+    and X''; N = (L - X'(s)) / tau off the diagonal and 0 on it. Vector
+    quotients have shape (N, N, 2), tau has shape (N, N).
+    """
+    w, d, _, tau, inv_tau = pair_chords(X)
+    idx = np.arange(X.n)
+    L = w * inv_tau[..., None]
+    M = d * inv_tau[..., None]
+    L[idx, idx], M[idx, idx] = X.xp.values, X.xpp.values
+    N = (L - X.xp.values[:, None, :]) * inv_tau[..., None]
+    return L, M, N, tau
 
 
 class TestDifferenceQuotients:
@@ -56,9 +70,16 @@ class TestDifferenceQuotients:
         assert abs(tau[0, 64] - np.pi / 2.0) < 1e-14
 
     def test_diagonal_matches_derivatives_everywhere(self, rng):
+        # the chords vanish exactly on the diagonal, where 1/|w|^2 and 1/tau
+        # are 0, so only the limits X' and X'' stand there
         X = random_smooth_curve(rng, n=128)
-        L, M, _, _ = pair_quotients(X)
+        w, d, w2, _, inv_tau = pair_chords(X)
         idx = np.arange(X.n)
+        assert not w[idx, idx].any() and not d[idx, idx].any() and not inv_tau[idx, idx].any()
+        assert np.all(w2[idx, idx] == np.inf)
+        off = ~np.eye(X.n, dtype=bool)
+        assert np.array_equal(w2[off], np.einsum("ijk,ijk->ij", w, w)[off])
+        L, M, _, _ = pair_quotients(X)
         assert np.array_equal(L[idx, idx], X.xp.values)
         assert np.array_equal(M[idx, idx], X.xpp.values)
 

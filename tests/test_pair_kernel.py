@@ -1,5 +1,8 @@
 """Row-blocked pair kernel against the dense (N, N) kernels it replaced."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ from ibstring import (
     on_curve_velocity,
     well_stretched_constant,
 )
+from ibstring import curve
 from ibstring.curve import _BLOCK_ROWS, DegenerateCurveError, _pair_blocks
 from ibstring.stokeslet import _tau_factor
 
@@ -149,9 +153,43 @@ class TestBlockedAgainstDense:
         by_product = X._well_stretched
         assert by_product is not None
         assert well_stretched_constant(X) == by_product
-        # both passes form |L|^2 with the same operations: bitwise equal
+        # a fresh state gets the constant from the same pair pass: bitwise equal
         assert by_product == standalone
         assert abs(by_product - dense_well_stretched_constant(X)) <= 1e-15
+
+
+class TestBlockAndBlasIndependence:
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_any_block_size_matches_dense(self, rng, monkeypatch, rows):
+        monkeypatch.setattr(curve, "_BLOCK_ROWS", rows)
+        for n in (8, 30, 66, 256):
+            X = random_smooth_curve(rng, n=n)
+            assert np.max(np.abs(on_curve_velocity(X).values - dense_on_curve_velocity(X))) <= 1e-15
+
+    def test_fresh_states_bitwise_equal(self, rng):
+        X = random_smooth_curve(rng, n=1024)
+        first = on_curve_velocity(CurveState(X.x)).values
+        assert np.array_equal(first, on_curve_velocity(CurveState(X.x)).values)
+
+    def test_blas_thread_count_keeps_bytes(self):
+        # one child process per count, since OpenBLAS reads it when it loads;
+        # at N = 4096 a block's (32, N) @ (N, 2) product may run threaded
+        code = (
+            "import hashlib, numpy as np\n"
+            "from ibstring import on_curve_velocity\n"
+            "from ibstring.acceptance import random_smooth_curve\n"
+            "X = random_smooth_curve(np.random.default_rng(5), n=4096, amp=0.01)\n"
+            "print(hashlib.sha256(on_curve_velocity(X).values.tobytes()).hexdigest())\n"
+        )
+        path = os.pathsep.join(p for p in sys.path if p)
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert len(digests) == 1
 
 
 class TestBlockedKernelGuards:
