@@ -67,6 +67,10 @@ _FMT = "%.17g"  # full double precision for all emitted numbers
 # curve). A snapshot's N is held to the grid_n bound as well.
 MAX_GRID_N = 8192
 MAX_FIELD_POINTS = 250_000
+# The off-curve pressure divides by |w|^4, w the offset of a lattice point
+# from a sample. Bounds within 1e75 in magnitude keep |w|^4 < 1e302 for any
+# curve inside the same box; from about 1e77 on it overflows.
+MAX_FIELD_COORD = 1e75
 
 
 class ConfigError(ValueError):
@@ -272,6 +276,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("field_grid: max bounds must exceed min bounds")
         if not (math.isfinite(field_grid.xmax - field_grid.xmin) and math.isfinite(field_grid.ymax - field_grid.ymin)):
             raise ConfigError("field_grid: the spans xmax - xmin and ymax - ymin must be finite")
+        bound = max(abs(field_grid.xmin), abs(field_grid.xmax), abs(field_grid.ymin), abs(field_grid.ymax))
+        if bound > MAX_FIELD_COORD:
+            raise ConfigError(f"field_grid: bounds at most {MAX_FIELD_COORD:g} in magnitude, got {bound:g}")
 
     try:
         stepper = StepperConfig(

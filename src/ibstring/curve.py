@@ -103,20 +103,31 @@ def _zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
 _BLOCK_ROWS = 32
 
 
-def _row_blocks(n: int):
-    """Yield (rows, diag, tau, inv_tau) for each row block of the pair matrices.
+def _torus_offsets(n: int) -> np.ndarray:
+    """wrap(k h) for k = 1 - N .. N - 1, the torus offset s' - s of every pair.
 
-    diag indexes the block's diagonal entries; inv_tau is 0 there.
-    tau[j, j'] = wrap((j' - j) h) depends only on j' - j, so both matrices are
-    zero-copy windows on one table of length 2N - 1: row j is window N-1-j.
     The offset is wrapped in integers, so |tau| is the torus distance exactly
     up to the one rounding of the product with h.
     """
-    tau = ((np.arange(1 - n, n) + n // 2) % n - n // 2) * (2.0 * np.pi / n)
+    return ((np.arange(1 - n, n) + n // 2) % n - n // 2) * (2.0 * np.pi / n)
+
+
+def _toeplitz_rows(table: np.ndarray) -> np.ndarray:
+    """(N, N) zero-copy view of a function of j' - j tabulated like
+    _torus_offsets: row j is the window table[N-1-j : 2N-1-j]."""
+    return sliding_window_view(table, (len(table) + 1) // 2)[::-1]
+
+
+def _row_blocks(n: int):
+    """Yield (rows, diag, tau, inv_tau) for each row block of the pair matrices.
+
+    diag indexes the block's diagonal entries; inv_tau is 0 there. Both
+    matrices are windows on one table of torus offsets (_toeplitz_rows).
+    """
+    tau = _torus_offsets(n)
     inv = np.zeros_like(tau)
     np.divide(1.0, tau, out=inv, where=tau != 0.0)
-    tau_rows = sliding_window_view(tau, n)[::-1]
-    inv_rows = sliding_window_view(inv, n)[::-1]
+    tau_rows, inv_rows = _toeplitz_rows(tau), _toeplitz_rows(inv)
     for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, min(start + _BLOCK_ROWS, n))
         cols = np.arange(rows.start, rows.stop)

@@ -8,6 +8,7 @@ import pytest
 
 from ibstring import make_circle, make_perturbed_circle, PerturbationMode
 from ibstring.cli_io import (
+    MAX_FIELD_COORD,
     MAX_FIELD_POINTS,
     MAX_GRID_N,
     ConfigError,
@@ -329,6 +330,26 @@ class TestMalformedInputs:
             warnings.simplefilter("error")
             assert main(["field", str(cfg_path), str(snap)]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bound, code", [(1e200, 2), (1e77, 2), (MAX_FIELD_COORD, 0)])
+    def test_far_field_grid_bounds(self, tmp_path, capsys, bound, code):
+        # finite spans, but offsets whose fourth power overflows beyond the cap
+        snap = tmp_path / "snap.csv"
+        write_snapshot(snap, make_circle(64))
+        grid = {"xmin": -bound, "xmax": bound, "ymin": -bound, "ymax": bound, "nx": 3, "ny": 2}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(output_dir=str(tmp_path / "out"), field_grid=grid))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["field", str(cfg_path), str(snap)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: field_grid: bounds at most 1e+75")
+            assert err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
+        else:
+            rows = np.loadtxt(tmp_path / "out" / "field.csv", delimiter=",", skiprows=1)
+            assert rows.shape == (6, 5) and np.all(np.isfinite(rows))
 
     def test_non_string_initial_path_exit_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -166,6 +166,15 @@ class TestBlockAndBlasIndependence:
             X = random_smooth_curve(rng, n=n)
             assert np.max(np.abs(on_curve_velocity(X).values - dense_on_curve_velocity(X))) <= 1e-15
 
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_forcing_derivative_any_block_size_bitwise(self, rng, monkeypatch, rows):
+        # every product is elementwise and every row sum runs along one row
+        curves = [random_smooth_curve(rng, n=n) for n in (8, 30, 66, 256)]
+        default = [forcing_derivative_quadrature(X).values for X in curves]
+        monkeypatch.setattr(curve, "_BLOCK_ROWS", rows)
+        for X, ref in zip(curves, default):
+            assert np.array_equal(forcing_derivative_quadrature(CurveState(X.x)).values, ref)
+
     def test_fresh_states_bitwise_equal(self, rng):
         X = random_smooth_curve(rng, n=1024)
         first = on_curve_velocity(CurveState(X.x)).values
