@@ -11,7 +11,7 @@ from .curve import (
     make_reparam_circle,
     well_stretched_constant,
 )
-from .dynamics import DiagnosticsRow, StepperConfig, rhs, run, step_exp_euler, step_rk4
+from .dynamics import DiagnosticsRow, StepperConfig, run, step_exp_euler, step_rk4
 from .equilibrium import (
     EquilibriumFit,
     ModeBlock,

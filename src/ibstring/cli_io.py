@@ -68,8 +68,9 @@ _FMT = "%.17g"  # full double precision for all emitted numbers
 MAX_GRID_N = 8192
 MAX_FIELD_POINTS = 250_000
 # The off-curve pressure divides by |w|^4, w the offset of a lattice point
-# from a sample. Bounds within 1e75 in magnitude keep |w|^4 < 1e302 for any
-# curve inside the same box; from about 1e77 on it overflows.
+# from a sample. `field` holds the lattice bounds and the snapshot's samples
+# within 1e75 in magnitude, which keeps |w|^4 < 1e302; from about 1e77 on it
+# overflows.
 MAX_FIELD_COORD = 1e75
 
 
@@ -171,45 +172,34 @@ def parse_config(text: str) -> RunConfig:
     if grid_n > MAX_GRID_N:
         raise ConfigError(f"grid_n: at most {MAX_GRID_N}, got {grid_n}")
 
-    scheme = doc.get("scheme", "exp_euler")
-    if scheme not in ("rk4", "exp_euler"):
-        raise ConfigError(f"scheme: must be 'rk4' or 'exp_euler', got {scheme!r}")
-    dt = _number(doc.get("dt", 1e-2), "dt")
-    t_end = _number(_require(doc, "t_end", "top level"), "t_end")
-
-    dealias_enabled: bool | None = None
-    dealias_cutoff = 2.0 / 3.0
-    krasny_floor = 1e-13
+    # JSON types only: StepperConfig states the defaults and the ranges
+    settings: dict[str, Any] = {"t_end": _number(_require(doc, "t_end", "top level"), "t_end")}
+    if "scheme" in doc:
+        settings["scheme"] = _string(doc["scheme"], "scheme")
+    if "dt" in doc:
+        settings["dt"] = _number(doc["dt"], "dt")
     if "dealias" in doc:
         d = doc["dealias"]
         if not isinstance(d, dict):
             raise ConfigError("dealias: expected an object")
         _reject_unknown(d, _DEALIAS_KEYS, "dealias")
-        if "enabled" in d:
-            if d["enabled"] == "auto":
-                dealias_enabled = None
-            elif isinstance(d["enabled"], bool):
-                dealias_enabled = d["enabled"]
-            else:
-                raise ConfigError(f"dealias.enabled: expected bool or 'auto', got {d['enabled']!r}")
+        enabled = d.get("enabled", "auto")
+        if isinstance(enabled, bool):
+            settings["dealias_enabled"] = enabled
+        elif enabled != "auto":
+            raise ConfigError(f"dealias.enabled: expected bool or 'auto', got {enabled!r}")
         if "cutoff_fraction" in d:
-            dealias_cutoff = _number(d["cutoff_fraction"], "dealias.cutoff_fraction")
-            if not 0.0 < dealias_cutoff <= 1.0:
-                raise ConfigError(f"dealias.cutoff_fraction: must be in (0, 1], got {dealias_cutoff}")
+            settings["dealias_cutoff"] = _number(d["cutoff_fraction"], "dealias.cutoff_fraction")
         if "krasny_floor" in d:
-            krasny_floor = _number(d["krasny_floor"], "dealias.krasny_floor")
-            if krasny_floor < 0:
-                raise ConfigError(f"dealias.krasny_floor: must be >= 0, got {krasny_floor}")
-
-    lambda_abort = None
+            settings["krasny_floor"] = _number(d["krasny_floor"], "dealias.krasny_floor")
     if doc.get("lambda_abort") is not None:
-        lambda_abort = _number(doc["lambda_abort"], "lambda_abort")
-        if lambda_abort <= 0:
-            raise ConfigError(f"lambda_abort: must be positive, got {lambda_abort}")
-
-    snapshot_every = _integer(doc.get("snapshot_every", 100), "snapshot_every")
-    if snapshot_every < 1:
-        raise ConfigError(f"snapshot_every: must be >= 1, got {snapshot_every}")
+        settings["lambda_abort"] = _number(doc["lambda_abort"], "lambda_abort")
+    if "snapshot_every" in doc:
+        settings["snapshot_every"] = _integer(doc["snapshot_every"], "snapshot_every")
+    try:
+        stepper = StepperConfig(**settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     initial = _require(doc, "initial", "top level")
     if not isinstance(initial, dict):
@@ -279,20 +269,6 @@ def parse_config(text: str) -> RunConfig:
         bound = max(abs(field_grid.xmin), abs(field_grid.xmax), abs(field_grid.ymin), abs(field_grid.ymax))
         if bound > MAX_FIELD_COORD:
             raise ConfigError(f"field_grid: bounds at most {MAX_FIELD_COORD:g} in magnitude, got {bound:g}")
-
-    try:
-        stepper = StepperConfig(
-            scheme=scheme,
-            dt=dt,
-            t_end=t_end,
-            dealias_enabled=dealias_enabled,
-            dealias_cutoff=dealias_cutoff,
-            krasny_floor=krasny_floor,
-            lambda_abort=lambda_abort,
-            snapshot_every=snapshot_every,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     output_dir = Path(_string(doc.get("output_dir", "ibstring_out"), "output_dir"))
     return RunConfig(
@@ -479,43 +455,27 @@ def _write_run_outputs(out_dir: Path, result_rows, snapshots, final: CurveState)
 
 
 def cmd_simulate(config_path: Path) -> int:
-    try:
-        cfg = parse_config(_read_text(config_path))
-        initial = build_initial(cfg)
-    except OSError as exc:
-        print(f"error: cannot read configuration: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    cfg = parse_config(_read_text(config_path))
+    initial = build_initial(cfg)
     try:
         result = run(initial, cfg.stepper)
-    except LambdaAbortError as exc:
+    except (LambdaAbortError, NonFiniteError) as exc:
         _write_run_outputs(cfg.output_dir, exc.rows, [], initial)
         print(f"aborted: {exc}", file=sys.stderr)
-        return 3
-    except NonFiniteError as exc:
-        _write_run_outputs(cfg.output_dir, exc.rows, [], initial)
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 4
+        return 3 if isinstance(exc, LambdaAbortError) else 4
     _write_run_outputs(cfg.output_dir, result.rows, result.snapshots, result.final)
     print(f"wrote {len(result.rows)} diagnostics rows to {cfg.output_dir}")
     return 0
 
 
 def cmd_field(config_path: Path, snapshot_path: Path) -> int:
-    try:
-        cfg = parse_config(_read_text(config_path))
-        X = read_snapshot(snapshot_path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    cfg = parse_config(_read_text(config_path))
+    X = read_snapshot(snapshot_path)
     if cfg.field_grid is None:
-        print("configuration error: field_grid: required for the field subcommand", file=sys.stderr)
-        return 2
+        raise ConfigError("field_grid: required for the field subcommand")
+    reach = float(np.max(np.abs(X.x.values)))
+    if reach > MAX_FIELD_COORD:
+        raise ConfigError(f"{snapshot_path}: field needs samples at most {MAX_FIELD_COORD:g} in magnitude, got {reach:g}")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "field.csv"
     write_field_csv(out, X, cfg.field_grid)
@@ -534,14 +494,7 @@ def cmd_spectrum(k_max: int, stream=None) -> int:
 
 def cmd_fit(snapshot_path: Path, stream=None) -> int:
     stream = stream or sys.stdout
-    try:
-        X = read_snapshot(snapshot_path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    X = read_snapshot(snapshot_path)
     fit = closest_equilibrium(X)
     print(f"theta_star = {_FMT % fit.theta_star}", file=stream)
     print(f"x_star = ({_FMT % fit.x_star[0]}, {_FMT % fit.x_star[1]})", file=stream)
@@ -595,6 +548,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "fit":
             return cmd_fit(args.snapshot)
         return cmd_verify(full=args.full)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:  # e.g. an output directory that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1

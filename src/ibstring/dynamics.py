@@ -9,7 +9,6 @@ multiplier exactly per Fourier mode and treats the remainder explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,15 +30,12 @@ __all__ = [
     "RunResult",
     "LambdaAbortError",
     "NonFiniteError",
-    "rhs",
+    "SCHEMES",
     "step_rk4",
     "step_exp_euler",
     "diagnostics_row",
     "run",
 ]
-
-SCHEMES = ("rk4", "exp_euler")
-
 
 class LambdaAbortError(RuntimeError):
     """Well-stretched constant fell below the abort threshold."""
@@ -68,10 +64,11 @@ class NonFiniteError(RuntimeError):
 class StepperConfig:
     """Fixed-step integration parameters.
 
-    dealias_enabled = None resolves to "on for runs longer than t = 1"
-    (filtering suppresses aliasing of the quadratic nonlinearity over long
-    horizons). lambda_abort = None resolves to half the initial
-    well-stretched constant.
+    The one place that states the stepper defaults and ranges: the CLI
+    passes on only the keys a config gives. dealias_enabled = None resolves
+    to "on for runs longer than t = 1" (filtering suppresses aliasing of the
+    quadratic nonlinearity over long horizons). lambda_abort = None resolves
+    to half the initial well-stretched constant.
     """
 
     scheme: str = "exp_euler"
@@ -85,7 +82,7 @@ class StepperConfig:
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}, got {self.scheme!r}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end <= 0:
@@ -95,6 +92,10 @@ class StepperConfig:
         steps = self.t_end / self.dt  # infinite when the ratio overflows
         if not (steps < np.inf and abs(round(steps) * self.dt - self.t_end) <= 1e-9 * max(1.0, self.t_end)):
             raise ValueError(f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}")
+        if not 0.0 < self.dealias_cutoff <= 1.0:
+            raise ValueError(f"dealias_cutoff must be in (0, 1], got {self.dealias_cutoff}")
+        if self.krasny_floor < 0:
+            raise ValueError(f"krasny_floor must be >= 0, got {self.krasny_floor}")
         if self.lambda_abort is not None and self.lambda_abort <= 0:
             raise ValueError(f"lambda_abort must be positive, got {self.lambda_abort}")
         if self.snapshot_every < 1:
@@ -130,20 +131,15 @@ class RunResult:
     final: CurveState
 
 
-def rhs(X: CurveState) -> GridField:
-    """Full right-hand side of the contour dynamics: the string velocity."""
-    return on_curve_velocity(X)
-
-
-def step_rk4(X: CurveState, dt: float, k1: GridField | None = None) -> CurveState:
-    """One classical RK4 step; pass k1 to reuse a velocity already computed."""
+def step_rk4(X: CurveState, dt: float, u: GridField | None = None) -> CurveState:
+    """One classical RK4 step; pass u to reuse a velocity already computed."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     v = X.x.values
-    a1 = (k1 if k1 is not None else rhs(X)).values
-    a2 = rhs(CurveState(GridField(v + 0.5 * dt * a1))).values
-    a3 = rhs(CurveState(GridField(v + 0.5 * dt * a2))).values
-    a4 = rhs(CurveState(GridField(v + dt * a3))).values
+    a1 = (u if u is not None else on_curve_velocity(X)).values
+    a2 = on_curve_velocity(CurveState(GridField(v + 0.5 * dt * a1))).values
+    a3 = on_curve_velocity(CurveState(GridField(v + 0.5 * dt * a2))).values
+    a4 = on_curve_velocity(CurveState(GridField(v + dt * a3))).values
     return CurveState(GridField(v + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0))
 
 
@@ -174,6 +170,10 @@ def step_exp_euler(X: CurveState, dt: float, u: GridField | None = None) -> Curv
     cg = np.fft.fft(g.values, axis=0)
     cnew = np.exp(z)[:, None] * cx + dt * _phi1(z)[:, None] * cg
     return CurveState(GridField(np.real(np.fft.ifft(cnew, axis=0))))
+
+
+# scheme name -> step(X, dt, u), u the velocity at X already computed
+SCHEMES = {"rk4": step_rk4, "exp_euler": step_exp_euler}
 
 
 def diagnostics_row(t: float, X: CurveState, u: GridField) -> DiagnosticsRow:
@@ -207,17 +207,11 @@ def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
         threshold = 0.5 * well_stretched_constant(initial)
     filtering = cfg.dealias_active()
 
-    stepper: Callable[[CurveState, float, GridField], CurveState]
-    if cfg.scheme == "rk4":
-        stepper = lambda X, dt, u: step_rk4(X, dt, k1=u)
-    else:
-        stepper = lambda X, dt, u: step_exp_euler(X, dt, u=u)
-
     def observe(t: float, X: CurveState) -> DiagnosticsRow:
         # degeneracy (self-intersection, orientation flip) is a regime exit,
         # reported through the same channel as the threshold abort
         try:
-            u = rhs(X)
+            u = on_curve_velocity(X)
             row = diagnostics_row(t, X, u)
         except (OrientationError, DegenerateCurveError) as exc:
             raise LambdaAbortError(t, 0.0, threshold, rows) from exc
@@ -233,7 +227,7 @@ def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
         t = step * cfg.dt
         u = observe(t, X)
         try:
-            X = stepper(X, cfg.dt, u)
+            X = SCHEMES[cfg.scheme](X, cfg.dt, u)
             if filtering:
                 X = CurveState(dealias(X.x, cfg.dealias_cutoff, cfg.krasny_floor))
         except DegenerateCurveError as exc:

@@ -89,6 +89,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="t_end"):
             parse_config(config_text().replace('"t_end": 0.1', f'"t_end": {literal}'))
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"scheme": "euler"}, "scheme"),
+        ({"dt": 0}, "dt"),
+        ({"lambda_abort": 0}, "lambda_abort"),
+        ({"snapshot_every": 0}, "snapshot_every"),
+        ({"dealias": {"cutoff_fraction": 0}}, "dealias_cutoff"),
+        ({"dealias": {"cutoff_fraction": 1.5}}, "dealias_cutoff"),
+        ({"dealias": {"krasny_floor": -1}}, "krasny_floor"),
+    ], ids=["scheme", "dt", "lambda_abort", "snapshot_every", "cutoff_zero", "cutoff_above_one", "floor_negative"])
+    def test_stepper_range_errors(self, overrides, field):
+        # the ranges are StepperConfig's; parse_config reports them as ConfigError
+        with pytest.raises(ConfigError, match=field):
+            parse_config(config_text(**overrides))
+
     def test_round_trip(self):
         text = config_text(
             scheme="rk4",
@@ -210,6 +224,19 @@ class TestSubcommands:
             config_text(lambda_abort=5.0, output_dir=str(tmp_path / "out"))
         )
         assert main(["simulate", str(cfg_path)]) == 3
+        assert (tmp_path / "out" / "diagnostics.csv").exists()
+
+    def test_simulate_nonfinite_abort_exit_4(self, tmp_path, capsys):
+        cfg_path = tmp_path / "blowup.json"
+        cfg_path.write_text(config_text(
+            scheme="rk4", dt=1e200, t_end=1e200, lambda_abort=1e-12, dealias={"enabled": False},
+            output_dir=str(tmp_path / "out"),
+            initial={"kind": "perturbed_circle", "modes": [{"k": 2, "amp_x": 1e-2}]},
+        ))
+        with np.errstate(all="ignore"):
+            assert main(["simulate", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("aborted: non-finite") and err.count("\n") == 1
         assert (tmp_path / "out" / "diagnostics.csv").exists()
 
     def test_field_subcommand(self, tmp_path):
@@ -347,6 +374,26 @@ class TestMalformedInputs:
             assert err.startswith("configuration error: field_grid: bounds at most 1e+75")
             assert err.count("\n") == 1
             assert not (tmp_path / "out").exists()
+        else:
+            rows = np.loadtxt(tmp_path / "out" / "field.csv", delimiter=",", skiprows=1)
+            assert rows.shape == (6, 5) and np.all(np.isfinite(rows))
+
+    @pytest.mark.parametrize("center, code", [(1e100, 2), (MAX_FIELD_COORD, 0)])
+    def test_far_snapshot_capped(self, tmp_path, capsys, center, code):
+        # a lattice within the cap, but a curve whose offsets from it overflow |w|^4
+        snap = tmp_path / "far.csv"
+        write_snapshot(snap, make_circle(64, 1.0, 0.0, (center, 0.0)))
+        grid = {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 3, "ny": 2}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(output_dir=str(tmp_path / "out"), field_grid=grid))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["field", str(cfg_path), str(snap)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: {snap}: field needs samples at most 1e+75")
+            assert err.count("\n") == 1
+            assert not (tmp_path / "out" / "field.csv").exists()
         else:
             rows = np.loadtxt(tmp_path / "out" / "field.csv", delimiter=",", skiprows=1)
             assert rows.shape == (6, 5) and np.all(np.isfinite(rows))

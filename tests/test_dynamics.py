@@ -19,7 +19,7 @@ from ibstring import (
     make_reparam_circle,
     measure_decay_rate,
     nonstiff_forcing,
-    rhs,
+    on_curve_velocity,
     run,
     semigroup_apply,
     step_exp_euler,
@@ -36,18 +36,18 @@ from conftest import random_smooth_curve
 
 class TestRhs:
     def test_circle_is_fixed_point(self):
-        assert np.max(np.abs(rhs(make_circle(256)).values)) < 1e-10
+        assert np.max(np.abs(on_curve_velocity(make_circle(256)).values)) < 1e-10
 
     def test_splitting_identity(self, rng):
         X = random_smooth_curve(rng, n=128)
-        u = rhs(X).values
+        u = on_curve_velocity(X).values
         recomposed = -0.25 * fractional_laplacian_half(X.x).values + nonstiff_forcing(X).values
         assert np.max(np.abs(u - recomposed)) < 1e-14
 
     def test_reparam_mean_symmetry(self):
         # s -> -s mirror symmetry of the construction kills the y-mean; the
         # x-mean is genuinely nonzero (the material center drifts)
-        u = rhs(make_reparam_circle(256, 1.0, 0.3))
+        u = on_curve_velocity(make_reparam_circle(256, 1.0, 0.3))
         m = mean(u)
         assert abs(m[1]) < 1e-8
         assert abs(m[0]) > 1e-5
@@ -62,7 +62,7 @@ class TestStepRk4:
 
     def test_consistency_with_rhs(self):
         X = make_perturbed_circle(128, 1.0, [PerturbationMode(2, 0.05, 0.0)])
-        u = rhs(X).values
+        u = on_curve_velocity(X).values
         errs = []
         for dt in (1e-3, 1e-4):
             d = (step_rk4(X, dt).x.values - X.x.values) / dt
@@ -209,7 +209,7 @@ class TestRunLoop:
         def broken_step(X, dt, u=None):
             raise ValueError("stepper defect")
 
-        monkeypatch.setattr(dynamics, "step_exp_euler", broken_step)
+        monkeypatch.setitem(dynamics.SCHEMES, "exp_euler", broken_step)
         with pytest.raises(ValueError, match="stepper defect"):
             run(make_circle(64), StepperConfig(dt=1e-2, t_end=0.1))
 
@@ -230,6 +230,15 @@ class TestRunLoop:
         with pytest.raises(ValueError, match="multiple"):
             run(make_circle(64), StepperConfig(dt=3e-3, t_end=1.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("dealias_cutoff", 0.0), ("dealias_cutoff", 1.5), ("krasny_floor", -1.0),
+    ])
+    def test_dealias_settings_validated(self, field, value):
+        # rejected when the config is built, not first at a step's filter
+        with pytest.raises(ValueError, match=field):
+            StepperConfig(**{field: value})
+        assert getattr(StepperConfig(**{field: 1.0}), field) == 1.0
+
     def test_dealias_default_policy(self):
         assert not StepperConfig(t_end=1.0).dealias_active()
         assert StepperConfig(t_end=1.5).dealias_active()
@@ -239,7 +248,7 @@ class TestRunLoop:
 def test_diagnostics_row_matches_per_quantity_calls(rng):
     # radius comes from the fit's effective radius: bitwise the same row
     X = random_smooth_curve(rng, n=128)
-    u = rhs(X)
+    u = on_curve_velocity(X)
     fit = closest_equilibrium(X)
     expected = DiagnosticsRow(
         t=0.25,
