@@ -67,10 +67,11 @@ _FMT = "%.17g"  # full double precision for all emitted numbers
 # curve). A snapshot's N is held to the grid_n bound as well.
 MAX_GRID_N = 8192
 MAX_FIELD_POINTS = 250_000
-# The off-curve pressure divides by |w|^4, w the offset of a lattice point
-# from a sample. `field` holds the lattice bounds and the snapshot's samples
-# within 1e75 in magnitude, which keeps |w|^4 < 1e302; from about 1e77 on it
-# overflows.
+# `field` holds the lattice bounds and the snapshot's samples within 1e75 in
+# magnitude, so an offset w of a lattice point from a sample stays below 3e75.
+# The nearest-sample search squares |w|, and the off-curve Cauchy sums take
+# 1/w^2; both leave the normal double range from |w| ~ 1e154 on (|w|^2
+# overflows, 1/w^2 underflows). The cap keeps every lattice far inside it.
 MAX_FIELD_COORD = 1e75
 
 
@@ -386,12 +387,12 @@ _DIAG_COLUMNS = (
 
 def diagnostics_lines(rows: Sequence[DiagnosticsRow]) -> list[str]:
     out = [",".join(_DIAG_COLUMNS)]
+    row = ",".join([_FMT] * len(_DIAG_COLUMNS))  # one % per row
     for r in rows:
-        vals = (
+        out.append(row % (
             r.t, r.energy, r.dissipation, r.well_stretched, r.radius, r.area,
             r.dist_h1, r.dist_h52, r.theta_star, r.xstar_x, r.xstar_y,
-        )
-        out.append(",".join(_FMT % v for v in vals))
+        ))
     return out
 
 
@@ -409,7 +410,8 @@ def write_field_csv(path: Path, X: CurveState, grid: FieldGrid) -> None:
     points = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
     u, p = _off_curve_flow(X, points)
     lines = ["x,y,u,v,p"]
-    lines.extend(",".join(_FMT % v for v in row) for row in np.column_stack([points, u, p]).tolist())
+    row = ",".join([_FMT] * 5)  # one % per row
+    lines.extend(row % tuple(r) for r in np.column_stack([points, u, p]).tolist())
     path.write_text("\n".join(lines) + "\n")
 
 

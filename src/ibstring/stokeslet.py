@@ -9,9 +9,10 @@ row blocks of their pair matrices; the public functions sum those rows.
 All on-curve integrals use the periodic trapezoid rule with the analytic
 removable-singularity limit substituted on the diagonal (no point exclusion).
 Off-curve velocity and pressure come from one batched evaluator over point
-blocks; points closer than five grid spacings to the curve refine the
-quadrature on a band-limited upsampling of the same curve; see README for the
-accuracy envelope.
+blocks, written in complex variables as Cauchy sums over the samples times
+point-only factors; points closer than five grid spacings to the curve refine
+the quadrature on a band-limited upsampling of the same curve; see README for
+the accuracy envelope.
 """
 
 from __future__ import annotations
@@ -137,8 +138,28 @@ def on_curve_velocity(X: CurveState) -> GridField:
 # ---------------------------------------------------------------------------
 
 # Pair entries (points x samples) per block of the off-curve evaluator: each
-# float64 temporary is the size of a _BLOCK_ROWS-row pair block at N = 1024.
+# complex block holds as many entries as a _BLOCK_ROWS-row pair block at N = 1024.
 _BLOCK_ENTRIES = _BLOCK_ROWS * 1024
+# Samples per BLAS product in the off-curve row sums. The sample axis is cut at
+# fixed offsets, so a row's sums do not depend on its block, and no product is
+# large enough for OpenBLAS to split it over threads (a 4096 x 3 product was
+# split on a 2-core machine, and a cold process could then stall for ~1 s).
+_SUM_CHUNK = 1024
+
+
+def _complex(xy: np.ndarray) -> np.ndarray:
+    """(n, 2) real pairs as n complex numbers x + iy (a view where possible)."""
+    return np.ascontiguousarray(xy, dtype=float).view(complex)[:, 0]
+
+
+def _row_sums(A: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(B, k) sums A[i, :] @ q as one BLAS product per row and sample chunk,
+    the chunks added in order (a whole-block product is not bitwise the same
+    row by row for every block height)."""
+    out = np.matmul(A[:, None, :_SUM_CHUNK], q[:_SUM_CHUNK])[:, 0, :]
+    for lo in range(_SUM_CHUNK, A.shape[1], _SUM_CHUNK):
+        out += np.matmul(A[:, None, lo:lo + _SUM_CHUNK], q[lo:lo + _SUM_CHUNK])[:, 0, :]
+    return out
 
 
 def _off_curve_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,19 +170,37 @@ def _off_curve_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.n
     Pressure: (1/2pi) * integral of |X'|^2/|X-x|^2 - 2((X-x).X')^2/|X-x|^4,
     zero-constant gauge. Within 5h of the curve the rule needs M*dist >= 32
     samples to push the aliasing error of the near-peaked integrand to machine
-    level, so the curve is refined by zero-padded FFT (factor <= 64). Each
-    factor's points go in (points, M) blocks with every sum along the
-    contiguous sample axis, so a row is bitwise the same in any block.
+    level, so the curve is refined by zero-padded FFT (factor <= 64).
+
+    In complex variables, with z the point, zeta = X(s'), a = X'(s'),
+    b = X'(s_x), W = zeta - z, R = 1/W and Q = conj(W)/W^2, both integrands
+    are Cauchy sums times point-only factors (the |a|^2 terms cancel):
+        4pi (u_x + i u_y) = (h/2)[S(R a^2) - 2b Re S(R a) + conj(b S(R conj a)
+                                  + S(Q a^2) - b S(Q a))],
+        p = -(h/2pi) Re S(R^2 a^2),
+    S the sum over samples. Each factor's points go in (points, M) blocks of
+    W and R, with each sum one BLAS product per row against the sample
+    weights [a^2, a, conj a], so a row is bitwise the same in any block. The
+    point-only factors are applied in real arithmetic: numpy may round a
+    complex product on a one-element array differently from a longer one.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     px, py = points[:, 0].copy(), points[:, 1].copy()
-    v, vp = X.x.values, X.xp.values
+    vx, vy = X.x.values[:, 0].copy(), X.x.values[:, 1].copy()
     nearest, d2 = np.empty(len(points), dtype=np.intp), np.empty(len(points))
     step = max(1, _BLOCK_ENTRIES // X.n)
+    work = np.empty((2, min(step, len(points)), X.n))
     for lo in range(0, len(points), step):
-        r2 = (v[:, 0] - px[lo:lo + step, None]) ** 2 + (v[:, 1] - py[lo:lo + step, None]) ** 2
-        nearest[lo:lo + step] = np.argmin(r2, axis=1)  # ties resolve to the lowest index
-        d2[lo:lo + step] = r2.min(axis=1)
+        sx, sy = work[:, : min(step, len(points) - lo)]
+        # copy, then subtract in place: numpy's out-of-place broadcast is slower
+        for s, c, pc in ((sx, vx, px), (sy, vy, py)):
+            s[:] = c
+            s -= pc[lo:lo + step, None]
+            np.square(s, out=s)
+        sx += sy
+        j = np.argmin(sx, axis=1)  # ties resolve to the lowest index
+        nearest[lo:lo + step], d2[lo:lo + step] = j, sx[np.arange(len(j)), j]
+    del work
     dist = np.sqrt(d2)
     factor = np.ones(len(points), dtype=np.int64)
     grow = dist < 5.0 * X.h
@@ -169,27 +208,37 @@ def _off_curve_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.n
         factor[grow] *= 2
 
     u, p = np.full((len(points), 2), np.nan), np.full(len(points), np.nan)
+    z = _complex(points)
+    tx, ty = X.xp.values[:, 0], X.xp.values[:, 1]
     off = dist > 0.0
     # largest factor first, while the fewest upsamplings are cached on X
     for f in np.unique(factor[off])[::-1].tolist():
         xs, xps = X.upsampled(f)
         h = 2.0 * np.pi / (X.n * f)
-        ax, ay = xps[:, 0].copy(), xps[:, 1].copy()
+        zeta, a = _complex(xs), _complex(xps)
+        weights = np.stack([a * a, a, a.conj()]).T  # (M, 3), each column contiguous
         group = np.flatnonzero(off & (factor == f))
-        step = max(1, _BLOCK_ENTRIES // len(ax))
+        step = max(1, _BLOCK_ENTRIES // len(zeta))
+        work = np.empty((2, min(step, len(group)), len(zeta)), dtype=complex)
         for lo in range(0, len(group), step):
             idx = group[lo:lo + step]
-            wx, wy = xs[:, 0] - px[idx, None], xs[:, 1] - py[idx, None]
-            dx, dy = ax - vp[nearest[idx], 0, None], ay - vp[nearest[idx], 1, None]
-            r2 = wx * wx + wy * wy
-            wa, wd, ad = wx * ax + wy * ay, wx * dx + wy * dy, ax * dx + ay * dy
-            r4 = r2 * r2
-            p[idx] = h * np.sum((ax * ax + ay * ay) / r2 - 2.0 * wa**2 / r4, axis=1) / (2.0 * np.pi)
-            c_w = 2.0 * wa * wd / r4
-            for c in (wa, wd, ad):  # in place: at factor 64 a block row is 0.5 MB
-                c /= r2
-            for k, (d, a, w) in enumerate(((dx, ax, wx), (dy, ay, wy))):
-                u[idx, k] = h * np.sum(wa * d - wd * a - ad * w + c_w * w, axis=1) / _FOUR_PI
+            W, R = work[:, : len(idx)]
+            W[:] = zeta
+            W -= z[idx, None]
+            np.divide(1.0, W, out=R)
+            s_a2, s_a, s_ac = _row_sums(R, weights).T
+            np.square(R, out=R)
+            s_p = _row_sums(R, weights[:, :1])[:, 0]
+            np.multiply(np.conjugate(W, out=W), R, out=W)
+            q_a2, q_a = _row_sums(W, weights[:, :2]).T
+            # c = S(R conj a) - S(Q a), then b c and the two components
+            cx, cy = s_ac.real - q_a.real, s_ac.imag - q_a.imag
+            bx, by = tx[nearest[idx]], ty[nearest[idx]]
+            ux = s_a2.real - 2.0 * bx * s_a.real + q_a2.real + (bx * cx - by * cy)
+            uy = s_a2.imag - 2.0 * by * s_a.real - q_a2.imag - (bx * cy + by * cx)
+            u[idx, 0], u[idx, 1] = h * ux / (2.0 * _FOUR_PI), h * uy / (2.0 * _FOUR_PI)
+            p[idx] = -h * s_p.real / (2.0 * np.pi)
+        del weights, work
     return u, p
 
 

@@ -360,7 +360,7 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("bound, code", [(1e200, 2), (1e77, 2), (MAX_FIELD_COORD, 0)])
     def test_far_field_grid_bounds(self, tmp_path, capsys, bound, code):
-        # finite spans, but offsets whose fourth power overflows beyond the cap
+        # finite spans beyond the cap are refused; the cap itself evaluates cleanly
         snap = tmp_path / "snap.csv"
         write_snapshot(snap, make_circle(64))
         grid = {"xmin": -bound, "xmax": bound, "ymin": -bound, "ymax": bound, "nx": 3, "ny": 2}
@@ -380,7 +380,7 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("center, code", [(1e100, 2), (MAX_FIELD_COORD, 0)])
     def test_far_snapshot_capped(self, tmp_path, capsys, center, code):
-        # a lattice within the cap, but a curve whose offsets from it overflow |w|^4
+        # a lattice within the cap, but a curve beyond it
         snap = tmp_path / "far.csv"
         write_snapshot(snap, make_circle(64, 1.0, 0.0, (center, 0.0)))
         grid = {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 3, "ny": 2}

@@ -1,6 +1,10 @@
 """Boundary-integral kernels: Green's functions, on/off-curve flow, forcing."""
 
+import hashlib
 import importlib
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -315,6 +319,44 @@ class TestBatchedOffCurveFlow:
             monkeypatch.setattr(importlib.import_module("ibstring.stokeslet"), "_BLOCK_ENTRIES", entries)
             ub, pb = _off_curve_flow(X, points)
             assert np.array_equal(ub, u) and np.array_equal(pb, p)
+
+    def test_rigid_motion_rotates_velocity_and_keeps_pressure(self, rng):
+        X = random_smooth_curve(rng, 64)
+        points = lattice_with_every_factor(X)
+        th, shift = 0.7, np.array([0.3, -1.2])
+        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        moved = CurveState(GridField(X.x.values @ rot.T + shift))
+        u, p = _off_curve_flow(X, points)
+        um, pm = _off_curve_flow(moved, points @ rot.T + shift)
+        near = np.arange(len(points)) >= 81  # past the 9 x 9 lattice: factors 1 to 64
+        for rows in (~near, near):
+            for got, want in ((um[rows], u[rows] @ rot.T), (pm[rows], p[rows])):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_blas_thread_count_keeps_bytes(self):
+        # one child process per count, since OpenBLAS reads it when it loads;
+        # the factor-64 rows make the longest row sums, 65536 samples at N = 1024
+        code = (
+            "import hashlib, sys, numpy as np\n"
+            "from ibstring.acceptance import random_smooth_curve\n"
+            "from ibstring.stokeslet import _off_curve_flow\n"
+            "X = random_smooth_curve(np.random.default_rng(5), n=1024, amp=0.01)\n"
+            "u, p = _off_curve_flow(X, np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 2))\n"
+            "print(hashlib.sha256(u.tobytes() + p.tobytes()).hexdigest())\n"
+        )
+        X = random_smooth_curve(np.random.default_rng(5), n=1024, amp=0.01)
+        points = lattice_with_every_factor(X)
+        assert pointwise_flow(X, points[-1])[2] == 64
+        path = os.pathsep.join(p for p in sys.path if p)
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", code], input=points.tobytes(), capture_output=True, check=True,
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            ).stdout
+            for threads in ("1", "2")
+        }
+        u, p = _off_curve_flow(X, points)
+        assert digests == {(hashlib.sha256(u.tobytes() + p.tobytes()).hexdigest() + "\n").encode()}
 
     def test_on_curve_points_give_nan_rows_without_warnings(self):
         X = make_perturbed_circle(64, 1.0, [PerturbationMode(2, 0.05, 0.0)])
