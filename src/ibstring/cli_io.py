@@ -334,10 +334,8 @@ def build_initial(cfg: RunConfig) -> CurveState:
 
 def write_snapshot(path: Path, X: CurveState) -> None:
     lines = [f"# ibstring-curve v1 N={X.n}"]
-    s = X.s
-    v = X.x.values
-    for j in range(X.n):
-        lines.append(f"{s[j]:.17g},{v[j, 0]:.17g},{v[j, 1]:.17g}")
+    row = ",".join([_FMT] * 3)  # one % per row
+    lines.extend(row % tuple(r) for r in np.column_stack([X.s, X.x.values]).tolist())
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .spectral import GridField, derivative, sobolev_seminorm
+from .spectral import GridField, derivative, sobolev_seminorm, upsample
 
 __all__ = [
     "CurveState",
@@ -77,23 +77,9 @@ class CurveState:
             return self.x.values, self.xp.values
         cached = self._upsampled.get(factor)
         if cached is None:
-            cached = (_zero_pad(self.x.values, factor), _zero_pad(self.xp.values, factor))
+            cached = (upsample(self.x, factor), upsample(self.xp, factor))
             self._upsampled[factor] = cached
         return cached
-
-
-def _zero_pad(values: np.ndarray, factor: int) -> np.ndarray:
-    n = values.shape[0]
-    m = n * factor
-    c = np.fft.fft(values, axis=0) / n
-    cm = np.zeros((m, 2), dtype=complex)
-    half = n // 2
-    cm[:half] = c[:half]
-    cm[m - half:] = c[half:]
-    cm *= m
-    out = np.fft.ifft(cm, axis=0).real.copy()  # a view would pin the complex buffer
-    out.flags.writeable = False
-    return out
 
 
 # Rows per block of the pair matrices, so that each (rows, N) float64
@@ -260,6 +246,8 @@ def make_reparam_circle(n: int, radius: float = 1.0, beta: float = 0.0) -> Curve
     The image is the exact circle, but the parameterization is stretched
     unevenly, so the configuration is out of equilibrium.
     """
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
     if not abs(beta) < 1.0:
         raise ValueError(f"|beta| must be < 1 for a bijective reparameterization, got {beta}")
     s = 2.0 * np.pi * np.arange(n) / n

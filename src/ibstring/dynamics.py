@@ -3,7 +3,8 @@
 The string velocity splits into a stiff dissipative multiplier -|k|/4 and a
 bounded remainder. Two fixed-step schemes are provided: classical RK4 on the
 full right-hand side, and an exponential Euler step that applies the stiff
-multiplier exactly per Fourier mode and treats the remainder explicitly.
+multiplier exactly per Fourier mode and treats the remainder explicitly; in
+that form it is X + dt phi1(-|k|dt/4) u, one spectral.semigroup_phi1 call.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .curve import (
     well_stretched_constant,
 )
 from .equilibrium import closest_equilibrium, fit_distance
-from .spectral import GridField, NonFiniteFieldError, dealias
-from .stokeslet import dissipation_rate, nonstiff_forcing, on_curve_velocity
+from .spectral import GridField, NonFiniteFieldError, dealias, semigroup_phi1
+from .stokeslet import dissipation_rate, on_curve_velocity
 
 __all__ = [
     "StepperConfig",
@@ -143,33 +144,17 @@ def step_rk4(X: CurveState, dt: float, u: GridField | None = None) -> CurveState
     return CurveState(GridField(v + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0))
 
 
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """phi1(z) = (e^z - 1)/z with phi1(0) = 1, series branch near zero."""
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-4
-    zs = z[small]
-    out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
-    zl = z[~small]
-    out[~small] = np.expm1(zl) / zl
-    return out
-
-
 def step_exp_euler(X: CurveState, dt: float, u: GridField | None = None) -> CurveState:
-    """Exponential Euler step: stiff multiplier exact, remainder explicit.
+    """Exponential Euler step: X + dt phi1(-|k|dt/4) u, one FFT pair.
 
-    Per mode k the update is e^{-|k|dt/4} x_hat + dt phi1(-|k|dt/4) g_hat;
-    the k = 0 mode reduces to an explicit Euler step on the curve's mean.
+    This is e^{-|k|dt/4} x_hat + dt phi1(-|k|dt/4) g_hat with g the nonstiff
+    forcing, since e^z - z phi1(z) = 1; the k = 0 mode reduces to an explicit
+    Euler step on the curve's mean.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    g = nonstiff_forcing(X, u)
-    n = X.n
-    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    z = -k * dt / 4.0
-    cx = np.fft.fft(X.x.values, axis=0)
-    cg = np.fft.fft(g.values, axis=0)
-    cnew = np.exp(z)[:, None] * cx + dt * _phi1(z)[:, None] * cg
-    return CurveState(GridField(np.real(np.fft.ifft(cnew, axis=0))))
+    phi1_u = semigroup_phi1(u if u is not None else on_curve_velocity(X), dt)
+    return CurveState(GridField(X.x.values + dt * phi1_u.values))
 
 
 # scheme name -> step(X, dt, u), u the velocity at X already computed

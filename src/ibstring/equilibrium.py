@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .curve import CurveState, effective_radius, make_circle
-from .spectral import GridField, sobolev_seminorm, to_spectral
+from .spectral import GridField, fractional_laplacian_half, hilbert_transform, sobolev_seminorm, to_spectral
 
 __all__ = [
     "EquilibriumFit",
@@ -116,20 +116,13 @@ def deviation_in_unit_gauge(Y: CurveState, fit: EquilibriumFit) -> GridField:
 def linearized_velocity(D: GridField) -> GridField:
     """First variation of the string velocity about the unit circle.
 
-    Acts per Fourier mode as the 2x2 block -(1/4)[[|k|, -i sgn k], [i sgn k, |k|]]
-    (equivalently -(1/4) J HD - (1/4) H D' with J the quarter-turn matrix);
-    the output always has zero mean.
+    -(1/4)(Lambda D + J H D) with Lambda the half Laplacian, H the Hilbert
+    transform and J(x, y) = (y, -x): per Fourier mode the 2x2 block
+    -(1/4)[[|k|, -i sgn k], [i sgn k, |k|]] (sgn zeroed at Nyquist, as in H).
+    The output always has zero mean.
     """
-    n = D.n
-    c = np.fft.fft(D.values, axis=0) / n
-    k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    absk = np.abs(k).astype(float)
-    sigma = np.sign(k).astype(float)
-    sigma[n // 2] = 0.0  # Hilbert part undefined at Nyquist; zeroed
-    out = np.empty_like(c)
-    out[:, 0] = -0.25 * (absk * c[:, 0] - 1j * sigma * c[:, 1])
-    out[:, 1] = -0.25 * (1j * sigma * c[:, 0] + absk * c[:, 1])
-    return GridField(np.real(np.fft.ifft(out * n, axis=0)))
+    hd = hilbert_transform(D).values
+    return GridField(-0.25 * (fractional_laplacian_half(D).values + hd[:, ::-1] * [1.0, -1.0]))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ __all__ = [
     "fractional_laplacian_half",
     "hilbert_transform",
     "semigroup_apply",
+    "semigroup_phi1",
     "sobolev_seminorm",
+    "upsample",
     "dealias",
     "mean",
 ]
@@ -100,11 +102,6 @@ class SpectralField:
     def n(self) -> int:
         return self.coeffs.shape[0]
 
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        """Integer wavenumbers in fft order: 0, 1, ..., N/2-1, -N/2, ..., -1."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(int)
-
     def reality_defect(self) -> float:
         """Max |coeff(-k) - conj(coeff(k))|, including Im of the Nyquist mode."""
         c = self.coeffs
@@ -178,6 +175,42 @@ def semigroup_apply(f: GridField, t: float) -> GridField:
         raise ValueError(f"time must be nonnegative, got {t}")
     k = _wavenumbers(f.n)
     return _apply_multiplier(f, np.exp(-np.abs(k) * t / 4.0))
+
+
+def _phi1(z: np.ndarray) -> np.ndarray:
+    """phi1(z) = (e^z - 1)/z with phi1(0) = 1, series branch near zero."""
+    out = np.empty_like(z)
+    small = np.abs(z) < 1e-4
+    zs = z[small]
+    out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
+    zl = z[~small]
+    out[~small] = np.expm1(zl) / zl
+    return out
+
+
+def semigroup_phi1(f: GridField, t: float) -> GridField:
+    """Multiplier phi1(-|k|t/4), phi1(z) = (e^z - 1)/z: t times this is the
+    integral of semigroup_apply(f, r) over r in [0, t]; the mean passes unchanged.
+    """
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    k = _wavenumbers(f.n)
+    return _apply_multiplier(f, _phi1(-np.abs(k) * t / 4.0))
+
+
+def upsample(f: GridField, factor: int) -> np.ndarray:
+    """Read-only (factor*N, 2) samples of the band-limited f (zero-padded FFT)."""
+    n = f.n
+    m = n * factor
+    c = np.fft.fft(f.values, axis=0) / n
+    cm = np.zeros((m, 2), dtype=complex)
+    half = n // 2
+    cm[:half] = c[:half]
+    cm[m - half:] = c[half:]
+    cm *= m
+    out = np.fft.ifft(cm, axis=0).real.copy()  # a view would pin the complex buffer
+    out.flags.writeable = False
+    return out
 
 
 def sobolev_seminorm(f: GridField, s: float) -> float:

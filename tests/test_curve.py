@@ -201,5 +201,6 @@ class TestConstructors:
         assert abs(sobolev_seminorm(D, 1.0) - 2.0 * eps * np.sqrt(np.pi)) < 1e-15
 
     def test_circle_radius_validation(self):
-        with pytest.raises(ValueError, match="radius"):
-            make_circle(64, radius=-1.0)
+        for make in (make_circle, make_reparam_circle):
+            with pytest.raises(ValueError, match="radius must be positive, got -1.0"):
+                make(64, radius=-1.0)

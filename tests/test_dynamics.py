@@ -27,9 +27,9 @@ from ibstring import (
     well_stretched_constant,
 )
 from ibstring import dynamics
-from ibstring.dynamics import LambdaAbortError, NonFiniteError, _phi1, diagnostics_row
+from ibstring.dynamics import LambdaAbortError, NonFiniteError, diagnostics_row
 from ibstring.equilibrium import fit_distance
-from ibstring.spectral import fractional_laplacian_half, mean, sobolev_seminorm
+from ibstring.spectral import _phi1, fractional_laplacian_half, mean, semigroup_phi1, sobolev_seminorm
 
 from conftest import random_smooth_curve
 
@@ -114,6 +114,18 @@ class TestStepExpEuler:
         out = step_exp_euler(X, dt)
         expected_mean = mean(X.x) + dt * mean(g)
         assert np.max(np.abs(mean(out.x) - expected_mean)) < 1e-13
+
+    def test_matches_split_form(self):
+        # reference: the split form, e^{-|k|dt/4} on X plus dt phi1 on the nonstiff forcing
+        X = make_perturbed_circle(
+            256, 1.0, [PerturbationMode(2, 0.05, 0.0), PerturbationMode(3, 0.0, 0.03, 0.4, 1.1)]
+        )
+        u = on_curve_velocity(X)
+        for dt in (0.01, 0.5):
+            g = nonstiff_forcing(X, u)
+            split = semigroup_apply(X.x, dt).values + dt * semigroup_phi1(g, dt).values
+            out = step_exp_euler(X, dt, u)
+            assert np.max(np.abs(out.x.values - split)) < 1e-13
 
     def test_phi1_branches(self):
         for z in (-1e-5, 1e-5, -1e-4, -0.5, -4.0):

@@ -12,6 +12,7 @@ from ibstring.spectral import (
     hilbert_transform,
     mean,
     semigroup_apply,
+    semigroup_phi1,
     sobolev_seminorm,
     to_spectral,
 )
@@ -172,6 +173,25 @@ class TestSemigroup:
                 out = semigroup_apply(f, t)
                 for order in (0.0, 1.0, 2.5):
                     assert sobolev_seminorm(out, order) <= np.exp(-t / 4.0) * sobolev_seminorm(f, order) + 1e-12
+
+
+class TestSemigroupPhi1:
+    def test_integrates_the_generator(self, rng):
+        # e^{tA} f - f = t A phi1(tA) f with A = -(1/4) Lambda
+        for t in (0.1, 1.0, 8.0):
+            f = random_band_limited(rng, 64, kmax=20)
+            lhs = semigroup_apply(f, t).values - f.values
+            rhs = -0.25 * t * fractional_laplacian_half(semigroup_phi1(f, t)).values
+            assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    def test_identity_at_zero(self, rng):
+        f = random_band_limited(rng, 64)
+        out = semigroup_phi1(f, 0.0)
+        assert np.max(np.abs(out.values - f.values)) < 1e-13
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            semigroup_phi1(field(np.cos, np.sin), -0.1)
 
 
 class TestSobolevSeminorm:
