@@ -2,8 +2,9 @@
 
 Each criterion is a self-contained check returning a CheckResult; the
 registry drives both the verify subcommand and the acceptance test module.
-The quick criteria run in about 1 s and the full set in about 10 s (2-core
-Xeon VM, Python 3.11, numpy 2.4).
+The quick criteria run in about 1 s and the full set in 10-20 s (shared
+2-core Xeon VM, Python 3.11, numpy 2.4; criterion 8's phase search is about
+0.25 s of the quick run).
 """
 
 from __future__ import annotations
@@ -241,27 +242,28 @@ def _c7_sandwich_ensemble():
 
 
 def _theta_objective(X: CurveState, fit: EquilibriumFit, thetas: np.ndarray) -> np.ndarray:
-    """sum_j |z_j - e^{i theta} R e^{i s_j}|^2 at each theta, z = X - x*.
+    """sum_j |e^{i theta} c_j - z_j|^2 at each theta, c = R e^{i s}, z = X - x*.
 
     The same pairwise objective as sum_j |X_j - x* - R(cos, sin)(s_j + theta)|^2,
-    by rotation: R e^{i s_j} is formed once per curve and e^{i theta} once per
-    angle, so the search makes one complex exp per angle instead of a cos and
-    a sin per (angle, sample) pair. Each block of angles is one outer product
-    and an in-place subtract into a (block, N) complex temporary of about
-    1 MB at N = 128, whose rows are summed as squares of its float view.
+    by rotation. Each block of angles forms its residuals as one real BLAS
+    product [cos theta, sin theta, 1] @ B. B is the float view of the complex
+    rows c, i c and -z: [Re c, Im c], [-Im c, Re c] and [-Re z, -Im z] with
+    the pairs interleaved, so the product is the residuals' float view, whose
+    rows are summed as squares. A block holds 65,536/N angles, a (block, 2N)
+    temporary of 1 MB (512 angles at N = 128).
     """
     dev = X.x.values - fit.x_star[None, :]
-    z = dev[:, 0] + 1j * dev[:, 1]
     circle = fit.radius * np.exp(1j * X.s)
-    step = max(1, 64_000 // X.n)
-    work = np.empty((min(step, len(thetas)), X.n), dtype=complex)
+    table = np.stack([circle, 1j * circle, -(dev[:, 0] + 1j * dev[:, 1])]).view(np.float64)
+    step = max(1, 65_536 // X.n)
+    rotations = np.ones((min(step, len(thetas)), 3))
+    work = np.empty((len(rotations), 2 * X.n))
     obj = np.empty(len(thetas))
     for lo in range(0, len(thetas), step):
         chunk = thetas[lo:lo + step]
-        rv = work[: len(chunk)]
-        np.multiply.outer(np.exp(1j * chunk), circle, out=rv)
-        rv -= z  # the sign of each residual drops out of its square
-        flat = rv.view(np.float64)
+        rot, flat = rotations[: len(chunk)], work[: len(chunk)]
+        rot[:, 0], rot[:, 1] = np.cos(chunk), np.sin(chunk)
+        np.matmul(rot, table, out=flat)
         obj[lo:lo + step] = np.einsum("ij,ij->i", flat, flat)
     return obj
 

@@ -37,7 +37,7 @@ from .dynamics import (
     run,
 )
 from .equilibrium import EquilibriumFit, closest_equilibrium, first_order_residual, fit_distance, mode_block
-from .spectral import GridField
+from .spectral import GridField, NonFiniteFieldError
 from .stokeslet import _off_curve_flow
 
 __all__ = [
@@ -371,10 +371,16 @@ def read_snapshot(path: Path) -> CurveState:
         except ValueError:
             raise ConfigError(f"{path}: non-numeric sample in row {j}: {line!r}") from None
     try:
-        samples = GridField(vals)  # N even and >= 8, every sample finite
+        X = CurveState(GridField(vals))  # N even and >= 8, every sample finite
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return CurveState(samples)
+    # every command reads X' (simulate also X''); an overflow is the file's fault
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            X.xp, X.xpp
+        except NonFiniteFieldError:
+            raise ConfigError(f"{path}: spectral derivatives of the samples overflow") from None
+    return X
 
 
 _DIAG_COLUMNS = (

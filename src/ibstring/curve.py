@@ -1,14 +1,16 @@
 """Closed-string configurations and their geometry.
 
-A CurveState holds N uniform samples of a closed planar curve X on the torus
-together with its first two spectral derivatives. Geometry helpers: the
-row-blocked chords of X and X' over all sample pairs, the well-stretched
-constant, enclosed area, effective radius and the elastic (stretching) energy.
+A CurveState holds N uniform samples of a closed planar curve X on the torus;
+its first two spectral derivatives are computed on first read. Geometry
+helpers: the row-blocked chords of X and X' over all sample pairs, the
+well-stretched constant, enclosed area, effective radius and the elastic
+(stretching) energy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,19 +43,28 @@ class DegenerateCurveError(ValueError):
 
 @dataclass(frozen=True)
 class CurveState:
-    """Sampled string configuration with cached spectral derivatives."""
+    """Sampled string configuration; X' and X'' are computed on first read.
+
+    A derivative that overflows raises NonFiniteFieldError at that read.
+    """
 
     x: GridField
-    xp: GridField = field(init=False, repr=False)   # X'
-    xpp: GridField = field(init=False, repr=False)  # X''
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "xp", derivative(self.x, 1))
-        object.__setattr__(self, "xpp", derivative(self.x, 2))
         # memo for band-limited upsamplings, keyed by factor (pure refinement)
         object.__setattr__(self, "_upsampled", {})
         # memo for the well-stretched constant, filled by any full pair pass
         object.__setattr__(self, "_well_stretched", None)
+
+    @cached_property
+    def xp(self) -> GridField:
+        """X'."""
+        return derivative(self.x, 1)
+
+    @cached_property
+    def xpp(self) -> GridField:
+        """X''."""
+        return derivative(self.x, 2)
 
     @property
     def n(self) -> int:

@@ -194,12 +194,15 @@ def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
 
     def observe(t: float, X: CurveState) -> DiagnosticsRow:
         # degeneracy (self-intersection, orientation flip) is a regime exit,
-        # reported through the same channel as the threshold abort
+        # reported through the same channel as the threshold abort; X' and X''
+        # are first computed here, so their overflow is a blow-up of the step
         try:
             u = on_curve_velocity(X)
             row = diagnostics_row(t, X, u)
         except (OrientationError, DegenerateCurveError) as exc:
             raise LambdaAbortError(t, 0.0, threshold, rows) from exc
+        except NonFiniteFieldError as exc:
+            raise NonFiniteError(t, rows) from exc
         rows.append(row)
         if row.well_stretched < threshold:
             raise LambdaAbortError(t, row.well_stretched, threshold, rows)

@@ -398,6 +398,43 @@ class TestMalformedInputs:
             rows = np.loadtxt(tmp_path / "out" / "field.csv", delimiter=",", skiprows=1)
             assert rows.shape == (6, 5) and np.all(np.isfinite(rows))
 
+    @pytest.fixture
+    def overflowing_snapshot(self, tmp_path):
+        # finite samples whose spectral derivatives overflow
+        s = 2.0 * np.pi * np.arange(64) / 64
+        vals = np.stack([1e306 * np.cos(s) + 1e305 * np.cos(30 * s), 1e306 * np.sin(s)], axis=1)
+        snap = tmp_path / "overflow.csv"
+        rows = "\n".join("%.17g,%.17g,%.17g" % (t, x, y) for t, (x, y) in zip(s, vals))
+        snap.write_text(f"# ibstring-curve v1 N=64\n{rows}\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(
+            output_dir=str(tmp_path / "out"), initial={"kind": "file", "path": str(snap)},
+            field_grid={"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 3, "ny": 2},
+        ))
+        return snap, cfg_path
+
+    @staticmethod
+    def assert_overflow_rejected(argv, snap, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # fit prints no inf
+        assert err == f"configuration error: {snap}: spectral derivatives of the samples overflow\n"
+        assert not (snap.parent / "out").exists()
+
+    def test_overflowing_snapshot_simulate_exit_2(self, overflowing_snapshot, capsys):
+        snap, cfg_path = overflowing_snapshot
+        self.assert_overflow_rejected(["simulate", str(cfg_path)], snap, capsys)
+
+    def test_overflowing_snapshot_fit_exit_2(self, overflowing_snapshot, capsys):
+        snap, _ = overflowing_snapshot
+        self.assert_overflow_rejected(["fit", str(snap)], snap, capsys)
+
+    def test_overflowing_snapshot_field_exit_2(self, overflowing_snapshot, capsys):
+        snap, cfg_path = overflowing_snapshot
+        self.assert_overflow_rejected(["field", str(cfg_path), str(snap)], snap, capsys)
+
     def test_non_string_initial_path_exit_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(output_dir=str(tmp_path / "out"), initial={"kind": "file", "path": 5}))

@@ -16,8 +16,10 @@ from ibstring import (
     sobolev_seminorm,
     well_stretched_constant,
 )
+from ibstring import curve
 from ibstring.curve import OrientationError, _pair_blocks
 from ibstring.equilibrium import closest_equilibrium
+from ibstring.spectral import derivative
 
 from conftest import grid, random_smooth_curve
 
@@ -204,3 +206,41 @@ class TestConstructors:
         for make in (make_circle, make_reparam_circle):
             with pytest.raises(ValueError, match="radius must be positive, got -1.0"):
                 make(64, radius=-1.0)
+
+
+@pytest.fixture
+def derivative_calls(monkeypatch):
+    """Orders m of every derivative call the curve module makes."""
+    calls = []
+
+    def counted(f, m):
+        calls.append(m)
+        return derivative(f, m)
+
+    monkeypatch.setattr(curve, "derivative", counted)
+    return calls
+
+
+class TestLazyDerivatives:
+    def test_construction_computes_no_derivative(self, derivative_calls):
+        X = CurveState(GridField(make_circle(64).x.values))
+        make_perturbed_circle(64, 1.0, [PerturbationMode(2, 0.01)])  # builds two states
+        assert X.n == 64
+        assert derivative_calls == []
+
+    def test_each_derivative_computed_once_and_bitwise(self, rng, derivative_calls):
+        samples = random_smooth_curve(rng, n=64).x
+        derivative_calls.clear()
+        X = CurveState(samples)
+        for _ in range(2):
+            assert np.array_equal(X.xp.values, derivative(X.x, 1).values)
+            assert np.array_equal(X.xpp.values, derivative(X.x, 2).values)
+        assert X.xp is X.xp and X.xpp is X.xpp
+        assert derivative_calls == [1, 2]
+
+    def test_closest_equilibrium_computes_no_derivative(self, rng, derivative_calls):
+        Y = random_smooth_curve(rng, n=128)  # its X' is read by the draw's lambda check
+        derivative_calls.clear()
+        fit = closest_equilibrium(Y)
+        assert fit.radius > 0.0
+        assert derivative_calls == []

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from ibstring import (
+    CurveState,
     DiagnosticsRow,
+    GridField,
     PerturbationMode,
     StepperConfig,
     closest_equilibrium,
@@ -29,7 +31,15 @@ from ibstring import (
 from ibstring import dynamics
 from ibstring.dynamics import LambdaAbortError, NonFiniteError, diagnostics_row
 from ibstring.equilibrium import fit_distance
-from ibstring.spectral import _phi1, fractional_laplacian_half, mean, semigroup_phi1, sobolev_seminorm
+from ibstring.spectral import (
+    NonFiniteFieldError,
+    _phi1,
+    derivative,
+    fractional_laplacian_half,
+    mean,
+    semigroup_phi1,
+    sobolev_seminorm,
+)
 
 from conftest import random_smooth_curve
 
@@ -91,16 +101,14 @@ class TestStepRk4:
 
 class TestStepExpEuler:
     def test_pure_decay_matches_semigroup(self, rng):
-        # with the forcing coefficients zeroed the update is exactly the
-        # stiff semigroup; verified through the phi1 formula at g = 0
+        # u = -(1/4) Lambda X is the stiff part alone (zero nonstiff forcing), so
+        # the step is X + dt phi1(-|k|dt/4)(-|k|/4) X_hat = e^{-|k|dt/4} X_hat
         X = random_smooth_curve(rng, n=64)
         dt = 0.3
-        n = X.n
-        k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-        cx = np.fft.fft(X.x.values, axis=0)
-        stepped = np.real(np.fft.ifft(np.exp(-k * dt / 4.0)[:, None] * cx, axis=0))
+        u = GridField(-0.25 * fractional_laplacian_half(X.x).values)
+        stepped = step_exp_euler(X, dt, u)
         expected = semigroup_apply(X.x, dt)
-        assert np.max(np.abs(stepped - expected.values)) < 1e-12
+        assert np.max(np.abs(stepped.x.values - expected.values)) < 1e-12
 
     def test_circle_unchanged_algebraic_identity(self):
         X = make_circle(256)
@@ -215,6 +223,28 @@ class TestRunLoop:
         )
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
             run(X0, cfg)
+
+    def test_overflowing_derivative_of_stepped_state(self, monkeypatch):
+        # the second step lands on finite samples whose X'' overflows; X' and
+        # X'' are first computed when the run observes that state
+        s = 2.0 * np.pi * np.arange(64) / 64
+        vals = np.stack([np.cos(s) + 1e304 * np.cos(30 * s), np.sin(s)], axis=1)
+        assert np.all(np.isfinite(derivative(GridField(vals), 1).values))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteFieldError):
+            derivative(GridField(vals), 2)
+        steps = []
+
+        def overflowing_step(X, dt, u=None):
+            steps.append(X)
+            return CurveState(GridField(vals)) if len(steps) == 2 else step_exp_euler(X, dt, u)
+
+        monkeypatch.setitem(dynamics.SCHEMES, "exp_euler", overflowing_step)
+        cfg = StepperConfig(dt=1e-2, t_end=0.05, lambda_abort=1e-12, dealias_enabled=False)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
+            run(make_perturbed_circle(64, 1.0, [PerturbationMode(2, 1e-2, 0.0)]), cfg)
+        assert isinstance(info.value.__cause__, NonFiniteFieldError)
+        assert info.value.t == pytest.approx(0.02)
+        assert [row.t for row in info.value.rows] == [0.0, 0.01]
 
     def test_other_stepper_value_error_propagates(self, monkeypatch):
         # only non-finite samples count as blow-up; any other ValueError is a bug

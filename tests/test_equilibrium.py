@@ -28,12 +28,32 @@ def angle_gap(a: float, b: float) -> float:
     return abs((a - b + np.pi) % (2 * np.pi) - np.pi)
 
 
-def phase_shifted_curves(rng, count: int = 3):
+def phase_shifted_curves(rng, count: int = 3, n: int = 128):
     for _ in range(count):
-        Y = random_smooth_curve(rng, n=128)
+        Y = random_smooth_curve(rng, n=n)
         # extra mode-1 content moves the optimal phase off the base angle
-        bump = 0.02 * np.stack([np.cos(grid(128) + 0.4), np.sin(grid(128) - 0.7)], axis=1)
+        bump = 0.02 * np.stack([np.cos(grid(n) + 0.4), np.sin(grid(n) - 0.7)], axis=1)
         yield CurveState(GridField(Y.x.values + bump))
+
+
+def rotation_objective_oracle(X, fit, thetas):
+    """The phase-search objective in elementwise rotation form: per block of
+    angles, e^{i theta} R e^{i s} - z as a complex outer product, z = X - x*."""
+    dev = X.x.values - fit.x_star[None, :]
+    z = dev[:, 0] + 1j * dev[:, 1]
+    circle = fit.radius * np.exp(1j * X.s)
+    obj = np.empty(len(thetas))
+    for lo in range(0, len(thetas), 500):
+        rv = np.multiply.outer(np.exp(1j * thetas[lo:lo + 500]), circle) - z
+        flat = rv.view(np.float64)
+        obj[lo:lo + 500] = np.einsum("ij,ij->i", flat, flat)
+    return obj
+
+
+def criterion_8_members(count: int = 10):
+    """The first members of criterion 8's ensemble, the ones it grid-searches."""
+    rng = np.random.default_rng(8)
+    return [random_smooth_curve(rng, 128, amp=0.01) for _ in range(count)]
 
 
 class TestClosestEquilibrium:
@@ -80,6 +100,24 @@ class TestClosestEquilibrium:
             rotated = _theta_objective(Y, fit, thetas)
             assert np.max(np.abs(rotated - direct)) < 1e-12
             assert np.argmin(rotated) == np.argmin(direct)
+
+    @staticmethod
+    def assert_phase_search_matches_oracle(curves):
+        # the BLAS form against the elementwise one at all 100,000 angles
+        thetas = np.linspace(0.0, 2 * np.pi, 100_000, endpoint=False)
+        for Y in curves:
+            fit = closest_equilibrium(Y)
+            oracle = rotation_objective_oracle(Y, fit, thetas)
+            rel = np.abs(_theta_objective(Y, fit, thetas) - oracle) / oracle
+            assert np.max(rel) < 1e-12
+            assert _theta_grid_search(Y, fit) == thetas[np.argmin(oracle)]
+
+    def test_phase_search_matches_oracle_on_criterion_8(self):
+        self.assert_phase_search_matches_oracle(criterion_8_members())
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_phase_search_matches_oracle_on_random_curves(self, rng, n):
+        self.assert_phase_search_matches_oracle([random_smooth_curve(rng, n), *phase_shifted_curves(rng, 2, n)])
 
     def test_fit_quality_criterion_report(self):
         # criterion 8's figures, pinned to the text of the trig-form search
