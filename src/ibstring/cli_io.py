@@ -23,7 +23,9 @@ import numpy as np
 
 from .curve import (
     CurveState,
+    OrientationError,
     PerturbationMode,
+    enclosed_area,
     make_circle,
     make_perturbed_circle,
     make_reparam_circle,
@@ -322,6 +324,7 @@ def build_initial(cfg: RunConfig) -> CurveState:
         X = read_snapshot(Path(init["path"]))
         if X.n != cfg.grid_n:
             raise ConfigError(f"initial.path: snapshot has N = {X.n}, config grid_n = {cfg.grid_n}")
+    _check_input(X, "initial")
     lam = well_stretched_constant(X)
     if lam <= 0:
         raise ConfigError(f"initial: configuration degenerate (well-stretched constant {lam:g})")
@@ -374,13 +377,25 @@ def read_snapshot(path: Path) -> CurveState:
         X = CurveState(GridField(vals))  # N even and >= 8, every sample finite
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    # every command reads X' (simulate also X''); an overflow is the file's fault
+    _check_input(X, path)
+    return X
+
+
+def _check_input(X: CurveState, source: str | Path) -> None:
+    """Read an input curve's X', X'' and enclosed area, as every command
+    does (simulate before its first step); an overflow there is the input's
+    fault and raises ConfigError naming the source."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             X.xp, X.xpp
         except NonFiniteFieldError:
-            raise ConfigError(f"{path}: spectral derivatives of the samples overflow") from None
-    return X
+            raise ConfigError(f"{source}: spectral derivatives of the samples overflow") from None
+        try:
+            enclosed_area(X)
+        except NonFiniteFieldError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
+        except OrientationError:
+            pass  # a reversed curve is a regime exit of the run (exit 3)
 
 
 _DIAG_COLUMNS = (

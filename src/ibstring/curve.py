@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .spectral import GridField, derivative, sobolev_seminorm, upsample
+from .spectral import GridField, NonFiniteFieldError, derivative, resample, sobolev_seminorm
 
 __all__ = [
     "CurveState",
@@ -53,8 +53,6 @@ class CurveState:
     def __post_init__(self) -> None:
         # memo for band-limited upsamplings, keyed by factor (pure refinement)
         object.__setattr__(self, "_upsampled", {})
-        # memo for the well-stretched constant, filled by any full pair pass
-        object.__setattr__(self, "_well_stretched", None)
 
     @cached_property
     def xp(self) -> GridField:
@@ -88,7 +86,8 @@ class CurveState:
             return self.x.values, self.xp.values
         cached = self._upsampled.get(factor)
         if cached is None:
-            cached = (upsample(self.x, factor), upsample(self.xp, factor))
+            m = factor * self.n
+            cached = (resample(self.x, m), resample(self.xp, m))
             self._upsampled[factor] = cached
         return cached
 
@@ -144,28 +143,23 @@ def _pair_blocks(X: CurveState) -> Iterator[tuple]:
     the next block overwrites all but tau and inv_tau (as in _row_blocks).
     At the diagonal entries `diag` w = d = 0 and w2 = inf, so 1/|w|^2 = 0.
     Raises DegenerateCurveError on an off-diagonal |w|^2 <= 0 or a diagonal
-    |X'|^2 <= 0. After the last block it memoizes the well-stretched
-    constant sqrt(min over j != j' of |w|^2 (1/tau)^2) on X.
+    |X'|^2 <= 0.
     """
     (x, y), (ax, ay) = X.x.values.T.copy(), X.xp.values.T.copy()
     speed_sq = ax * ax + ay * ay
-    work = _workspace(6, X.n)
-    lam_sq = np.inf
+    work = _workspace(5, X.n)
     for rows, diag, tau, inv_tau in _row_blocks(X.n):
-        wx, wy, dx, dy, w2, ratio = work[:, : rows.stop - rows.start]
-        for chord, c in ((wx, x), (wy, y), (dx, ax), (dy, ay)):
+        wx, wy, dx, dy, w2 = work[:, : rows.stop - rows.start]
+        for chord, c in ((wx, x), (wy, y)):
             np.subtract(c, c[rows, None], out=chord)
         np.multiply(wx, wx, out=w2)
-        w2 += np.multiply(wy, wy, out=ratio)
-        np.multiply(inv_tau, inv_tau, out=ratio)
-        ratio *= w2
-        ratio[diag] = np.inf
-        lam_sq = min(lam_sq, float(ratio.min()))
-        if lam_sq <= 0.0 or float(speed_sq[rows].min()) <= 0.0:
-            raise DegenerateCurveError("coincident samples: curve degenerate at grid resolution")
+        w2 += np.multiply(wy, wy, out=dx)
+        for chord, c in ((dx, ax), (dy, ay)):
+            np.subtract(c, c[rows, None], out=chord)
         w2[diag] = np.inf
+        if float(w2.min()) <= 0.0 or float(speed_sq[rows].min()) <= 0.0:
+            raise DegenerateCurveError("coincident samples: curve degenerate at grid resolution")
         yield rows, diag, wx, wy, dx, dy, w2, tau, inv_tau
-    object.__setattr__(X, "_well_stretched", float(np.sqrt(lam_sq)))
 
 
 def well_stretched_constant(X: CurveState) -> float:
@@ -173,27 +167,47 @@ def well_stretched_constant(X: CurveState) -> float:
 
     Positive for non-self-intersecting configurations; values near zero flag
     degeneracy at grid resolution, and it is 0 when two samples coincide or
-    the tangent vanishes at one. Any full pass of _pair_blocks, such as the
-    on-curve velocity's, leaves it memoized on X.
+    the tangent vanishes at one.
+
+    The pass runs over the torus offsets k = 1 .. N/2, each counted once:
+    offset k's chords X(s_j+k) - X(s_j) are a zero-copy window on the doubled
+    samples minus the samples, and its ratio is min_j |w|^2 times the scalar
+    (1/tau_k)^2, tau_k as in _torus_offsets. Since fl(a c) is monotone in a
+    for c > 0, this is bitwise the minimum over all pairs of |w|^2 (1/tau)^2.
     """
-    if X._well_stretched is None:
-        try:
-            for _ in _pair_blocks(X):
-                pass
-        except DegenerateCurveError:
-            return 0.0
-    return X._well_stretched
+    vp = X.xp.values
+    if float((vp[:, 0] * vp[:, 0] + vp[:, 1] * vp[:, 1]).min()) <= 0.0:
+        return 0.0
+    n, m = X.n, X.n // 2
+    xy = X.x.values.T.copy()
+    windows = sliding_window_view(np.concatenate([xy, xy], axis=1), n, axis=1)  # [c, k, j] = xy[c, j + k]
+    inv_tau = 1.0 / (np.arange(1, m + 1) * (2.0 * np.pi / n))
+    min_w2 = np.empty(m)
+    step = max(1, _BLOCK_ROWS * 1024 // n)  # offsets per block: cache-sized, few blocks at small N
+    work = np.empty((3, min(step, m), n))
+    for lo in range(1, m + 1, step):
+        hi = min(lo + step, m + 1)
+        w, w2 = work[:2, : hi - lo], work[2, : hi - lo]
+        np.subtract(windows[:, lo:hi], xy[:, None, :], out=w)
+        np.square(w, out=w)
+        np.add(w[0], w[1], out=w2)
+        np.min(w2, axis=1, out=min_w2[lo - 1: hi - 1])
+    lam_sq = float(np.min(inv_tau * inv_tau * min_w2))
+    return float(np.sqrt(lam_sq)) if lam_sq > 0.0 else 0.0
 
 
 def enclosed_area(X: CurveState) -> float:
     """Signed enclosed area (1/2) * integral of X x X' via trapezoid rule.
 
     Raises OrientationError when nonpositive (curve must be positively
-    oriented and embedded at grid resolution).
+    oriented and embedded at grid resolution) and NonFiniteFieldError when
+    the products of X and X' overflow.
     """
     v, vp = X.x.values, X.xp.values
     cross = v[:, 0] * vp[:, 1] - v[:, 1] * vp[:, 0]
     area = 0.5 * X.h * float(np.sum(cross))
+    if not np.isfinite(area):
+        raise NonFiniteFieldError("enclosed area of the samples overflows")
     if area <= 0:
         raise OrientationError(f"nonpositive enclosed area {area:g}")
     return area

@@ -27,7 +27,8 @@ __all__ = [
     "semigroup_apply",
     "semigroup_phi1",
     "sobolev_seminorm",
-    "upsample",
+    "resample",
+    "mode_amplitudes",
     "dealias",
     "mean",
 ]
@@ -198,19 +199,34 @@ def semigroup_phi1(f: GridField, t: float) -> GridField:
     return _apply_multiplier(f, _phi1(-np.abs(k) * t / 4.0))
 
 
-def upsample(f: GridField, factor: int) -> np.ndarray:
-    """Read-only (factor*N, 2) samples of the band-limited f (zero-padded FFT)."""
+def resample(f: GridField, m: int) -> np.ndarray:
+    """Read-only (m, 2) samples of the band-limited f on m points.
+
+    Zero-pads the spectrum for m > N, which is exact; truncates it to the
+    modes -m/2 .. m/2 - 1 for m < N. m = N returns f's own values, with no
+    FFT round trip.
+    """
     n = f.n
-    m = n * factor
+    if m < 2 or m % 2:
+        raise ValueError(f"sample count must be even and >= 2, got {m}")
+    if m == n:
+        return f.values
     c = np.fft.fft(f.values, axis=0) / n
     cm = np.zeros((m, 2), dtype=complex)
-    half = n // 2
+    half = min(n, m) // 2
     cm[:half] = c[:half]
-    cm[m - half:] = c[half:]
+    cm[m - half:] = c[n - half:]
     cm *= m
     out = np.fft.ifft(cm, axis=0).real.copy()  # a view would pin the complex buffer
     out.flags.writeable = False
     return out
+
+
+def mode_amplitudes(f: GridField) -> np.ndarray:
+    """|f_hat_k| for k = 0 .. N/2, the Euclidean norm of the 2-vector
+    coefficient, so a rotation of the field leaves it unchanged."""
+    c = np.fft.rfft(f.values, axis=0) / f.n
+    return np.sqrt(np.sum(c.real**2 + c.imag**2, axis=1))
 
 
 def sobolev_seminorm(f: GridField, s: float) -> float:

@@ -435,6 +435,41 @@ class TestMalformedInputs:
         snap, cfg_path = overflowing_snapshot
         self.assert_overflow_rejected(["field", str(cfg_path), str(snap)], snap, capsys)
 
+    @staticmethod
+    def assert_one_line_exit_2(argv, message, out_dir, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"configuration error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_overflowing_built_initial_exit_2(self, tmp_path, capsys):
+        # a built curve's derivatives are read under the same check as a snapshot's
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(output_dir=str(tmp_path / "out"), initial={
+            "kind": "perturbed_circle", "modes": [{"k": 6, "amp_x": 1e306}],
+        }))
+        self.assert_one_line_exit_2(
+            ["simulate", str(cfg_path)], "initial: spectral derivatives of the samples overflow",
+            tmp_path / "out", capsys,
+        )
+
+    def test_overflowing_area_simulate_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(output_dir=str(tmp_path / "out"), initial={"kind": "circle", "radius": 1e200}))
+        self.assert_one_line_exit_2(
+            ["simulate", str(cfg_path)], "initial: enclosed area of the samples overflows", tmp_path / "out", capsys,
+        )
+
+    def test_overflowing_area_fit_exit_2(self, tmp_path, capsys):
+        snap = tmp_path / "big.csv"
+        write_snapshot(snap, make_circle(64, 1e200))
+        self.assert_one_line_exit_2(
+            ["fit", str(snap)], f"{snap}: enclosed area of the samples overflows", tmp_path / "out", capsys,
+        )
+
     def test_non_string_initial_path_exit_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(output_dir=str(tmp_path / "out"), initial={"kind": "file", "path": 5}))

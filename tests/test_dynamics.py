@@ -37,6 +37,7 @@ from ibstring.spectral import (
     derivative,
     fractional_laplacian_half,
     mean,
+    mode_amplitudes,
     semigroup_phi1,
     sobolev_seminorm,
 )
@@ -307,3 +308,82 @@ def test_diagnostics_row_matches_per_quantity_calls(rng):
     )
     row = diagnostics_row(0.25, X, u)
     assert np.array(astuple(row)).view(np.uint64).tolist() == np.array(astuple(expected)).view(np.uint64).tolist()
+
+
+def near_contact_curve(n: int, neck: float) -> CurveState:
+    """A degree-3 trigonometric curve whose top and bottom, half a period
+    apart in s, come within 2 neck / (1 + neck) of each other at x = 0."""
+    s = 2.0 * np.pi * np.arange(n) / n
+    return CurveState(GridField(np.stack([np.cos(s), np.sin(s) * (neck + np.cos(s) ** 2) / (1.0 + neck)], axis=1)))
+
+
+class TestResolvedVelocity:
+    """The run loop's velocity: the pair sum on N_c samples, padded back to N."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        # the sample count of every pair sum the stepper evaluates, in order
+        calls = []
+
+        def counted(X):
+            calls.append(X.n)
+            return on_curve_velocity(X)
+
+        monkeypatch.setattr(dynamics, "on_curve_velocity", counted)
+        return calls
+
+    @pytest.mark.parametrize("n, amp", [(256, 0.01), (1024, 0.01), (1024, 0.05)])
+    def test_matches_full_velocity_below_quarter(self, rng, sizes, n, amp):
+        X = random_smooth_curve(rng, n=n, amp=amp)
+        u, _ = dynamics._resolved_velocity(X, 16)
+        n_c = sizes[-1]
+        assert n_c < n
+        gap = mode_amplitudes(GridField(u.values - on_curve_velocity(X).values))
+        # at most 1.1e-15 of the curve's scale on these cases over 11 seeds
+        assert gap[: n_c // 4 + 1].max() <= 1e-14 * mode_amplitudes(X.x)[1:].max()
+
+    def test_curve_that_needs_full_n_runs_at_full_n(self, sizes):
+        # modes up to k = N/6 with amplitudes decaying from 1e-2 to 1e-10
+        n = 256
+        phases = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, size=(41, 2))
+        modes = [
+            PerturbationMode(k, 1e-2 * 10.0 ** (-0.2 * (k - 2)), 1e-2 * 10.0 ** (-0.2 * (k - 2)), *phases[k - 2])
+            for k in range(2, n // 6 + 1)
+        ]
+        X = make_perturbed_circle(n, 1.0, modes)
+        u, start = dynamics._resolved_velocity(X, 16)
+        assert sizes == [n] and start == n
+        assert np.array_equal(u.values, on_curve_velocity(X).values)
+
+    def test_near_contact_makes_n_c_grow(self, sizes):
+        chosen = []
+        for neck in (1.0, 0.3, 0.1):
+            dynamics._resolved_velocity(near_contact_curve(512, neck), 16)
+            chosen.append(sizes[-1])
+        assert chosen == [128, 256, 512]
+
+    def test_run_carries_n_c_between_steps(self, sizes, monkeypatch):
+        # the first step walks 16 -> 256; the other ten start at 256 and
+        # evaluate once
+        starts = []
+        resolved = dynamics._resolved_velocity
+
+        def recorded(X, start):
+            starts.append(start)
+            return resolved(X, start)
+
+        monkeypatch.setattr(dynamics, "_resolved_velocity", recorded)
+        run(near_contact_curve(512, 0.3), StepperConfig(dt=1e-2, t_end=0.1, dealias_enabled=False))
+        assert sizes == [16, 32, 64, 128] + [256] * 11
+        assert starts == [16] + [256] * 10
+
+    def test_translated_and_rotated_curve_same_n_c(self, rng, sizes):
+        X = random_smooth_curve(rng, n=1024, amp=0.05)
+        c, s = np.cos(0.7), np.sin(0.7)
+        moved = [X.x.values + np.array([3.0, -2.0]), X.x.values @ np.array([[c, s], [-s, c]])]
+        chosen = []
+        for v in [X.x.values] + moved:
+            _, start = dynamics._resolved_velocity(CurveState(GridField(v)), 16)
+            chosen.append((sizes[-1], start))
+        assert chosen[0][0] < 1024
+        assert chosen[1] == chosen[0] and chosen[2] == chosen[0]

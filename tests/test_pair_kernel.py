@@ -12,6 +12,7 @@ from ibstring import (
     CurveState,
     GridField,
     forcing_derivative_quadrature,
+    make_reparam_circle,
     on_curve_velocity,
     well_stretched_constant,
 )
@@ -117,6 +118,27 @@ def dense_forcing_derivative_quadrature(X: CurveState) -> np.ndarray:
     return X.h * np.stack([gx.sum(axis=1), gy.sum(axis=1)], axis=1) / _FOUR_PI
 
 
+def full_pair_well_stretched_constant(X: CurveState) -> float:
+    """The row-blocked pass over every ordered pair that the offset-major pass
+    replaced: min of |w|^2 (1/tau)^2 per block, the sqrt of the minimum, and
+    0.0 on a coincident pair or a vanishing tangent."""
+    (x, y), (ax, ay) = X.x.values.T.copy(), X.xp.values.T.copy()
+    speed_sq = ax * ax + ay * ay
+    lam_sq = np.inf
+    for rows, diag, _, inv_tau in curve._row_blocks(X.n):
+        wx = x - x[rows, None]
+        wy = y - y[rows, None]
+        w2 = wx * wx
+        w2 += wy * wy
+        ratio = inv_tau * inv_tau
+        ratio *= w2
+        ratio[diag] = np.inf
+        lam_sq = min(lam_sq, float(ratio.min()))
+        if lam_sq <= 0.0 or float(speed_sq[rows].min()) <= 0.0:
+            return 0.0
+    return float(np.sqrt(lam_sq))
+
+
 def dense_well_stretched_constant(X: CurveState) -> float:
     """min over j != j' of |X_j' - X_j| / torus distance, from the definition."""
     v, n = X.x.values, X.n
@@ -147,15 +169,13 @@ class TestBlockedAgainstDense:
         assert gap <= 1e-12 * np.max(np.abs(dense))
 
     def test_well_stretched_three_ways(self, rng, n):
-        X = random_smooth_curve(rng, n=n)
-        standalone = well_stretched_constant(CurveState(X.x))
-        on_curve_velocity(X)
-        by_product = X._well_stretched
-        assert by_product is not None
-        assert well_stretched_constant(X) == by_product
-        # a fresh state gets the constant from the same pair pass: bitwise equal
-        assert by_product == standalone
-        assert abs(by_product - dense_well_stretched_constant(X)) <= 1e-15
+        # the offset-major pass against the full ordered-pair pass, bitwise,
+        # and against the dense definition
+        for X in (random_smooth_curve(rng, n=n), make_reparam_circle(n, 1.0, 0.5)):
+            lam = well_stretched_constant(X)
+            assert lam == full_pair_well_stretched_constant(X)
+            assert well_stretched_constant(CurveState(X.x)) == lam
+            assert abs(lam - dense_well_stretched_constant(X)) <= 1e-15
 
 
 class TestBlockAndBlasIndependence:
@@ -215,8 +235,16 @@ class TestBlockedKernelGuards:
             next(blocks)
         with pytest.raises(DegenerateCurveError):
             on_curve_velocity(X)
-        assert X._well_stretched is None  # an aborted pass memoizes nothing
         assert well_stretched_constant(X) == 0.0
+
+    @pytest.mark.parametrize("offset", [1, 7, 33])
+    def test_well_stretched_zero_on_coincident_samples(self, rng, offset):
+        # offset 33 = N/2, the one offset whose pairs the pass meets twice
+        n = 66
+        v = random_smooth_curve(rng, n=n).x.values.copy()
+        v[(5 + offset) % n] = v[5]
+        X = CurveState(GridField(v))
+        assert well_stretched_constant(X) == 0.0 == full_pair_well_stretched_constant(X)
 
     def test_velocity_memory_is_row_blocked(self, rng):
         X = random_smooth_curve(rng, n=1024)

@@ -11,6 +11,8 @@ from ibstring.spectral import (
     from_spectral,
     hilbert_transform,
     mean,
+    mode_amplitudes,
+    resample,
     semigroup_apply,
     semigroup_phi1,
     sobolev_seminorm,
@@ -266,3 +268,41 @@ class TestLinearity:
             assert np.allclose(
                 semigroup_apply(f, 1.0).values, np.exp(-k / 4.0) * f.values, atol=1e-11
             )
+
+
+class TestResample:
+    def test_same_count_returns_values_untouched(self, rng):
+        f = GridField(rng.normal(size=(64, 2)))
+        assert resample(f, 64) is f.values
+
+    @pytest.mark.parametrize("m", [16, 32, 256])
+    def test_exact_on_band_limited_fields(self, m):
+        # modes below min(N, m)/2 come out as the trig polynomial sampled on m points
+        f = field(lambda s: 1.0 + np.cos(3 * s) + 0.5 * np.sin(7 * s), lambda s: np.sin(s) - 0.2 * np.cos(5 * s))
+        expected = field(lambda s: 1.0 + np.cos(3 * s) + 0.5 * np.sin(7 * s), lambda s: np.sin(s) - 0.2 * np.cos(5 * s), n=m)
+        out = resample(f, m)
+        assert out.shape == (m, 2) and not out.flags.writeable
+        assert np.max(np.abs(out - expected.values)) < 1e-14
+
+    def test_truncation_drops_the_high_modes(self):
+        f = field(lambda s: np.cos(2 * s) + np.cos(20 * s), lambda s: np.sin(2 * s))
+        out = resample(f, 16)
+        assert np.max(np.abs(out - field(lambda s: np.cos(2 * s), lambda s: np.sin(2 * s), n=16).values)) < 1e-14
+
+    def test_pad_then_truncate_round_trip(self, rng):
+        f = random_band_limited(rng, n=64, kmax=20)
+        back = resample(GridField(resample(f, 256)), 64)
+        assert np.max(np.abs(back - f.values)) < 1e-14
+
+    def test_odd_count_rejected(self, rng):
+        with pytest.raises(ValueError, match="even"):
+            resample(GridField(rng.normal(size=(16, 2))), 15)
+
+
+def test_mode_amplitudes_rotation_invariant():
+    f = field(lambda s: np.cos(s) + 0.1 * np.cos(4 * s), lambda s: np.sin(s) - 0.3 * np.sin(2 * s))
+    c, s = np.cos(0.4), np.sin(0.4)
+    amp = mode_amplitudes(f)
+    assert amp.shape == (33,)
+    assert np.allclose(amp[[1, 2, 4]], [np.sqrt(0.5), 0.15, 0.05], rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(mode_amplitudes(GridField(f.values @ np.array([[c, s], [-s, c]]))) - amp)) < 1e-15
