@@ -24,7 +24,6 @@ from .equilibrium import (
 )
 from .spectral import (
     GridField,
-    SpectralField,
     dealias,
     derivative,
     fractional_laplacian_half,
@@ -35,7 +34,6 @@ from .spectral import (
     to_spectral,
 )
 from .stokeslet import (
-    FlowSample,
     dissipation_rate,
     forcing_derivative_quadrature,
     nonstiff_forcing,

@@ -40,7 +40,7 @@ from .dynamics import (
 )
 from .equilibrium import EquilibriumFit, closest_equilibrium, first_order_residual, fit_distance, mode_block
 from .spectral import GridField, NonFiniteFieldError
-from .stokeslet import _off_curve_flow
+from .stokeslet import sample_flow
 
 __all__ = [
     "ConfigError",
@@ -427,7 +427,7 @@ def write_field_csv(path: Path, X: CurveState, grid: FieldGrid) -> None:
     xs = np.linspace(grid.xmin, grid.xmax, grid.nx)
     ys = np.linspace(grid.ymin, grid.ymax, grid.ny)
     points = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
-    u, p = _off_curve_flow(X, points)
+    u, p = sample_flow(X, points)
     lines = ["x,y,u,v,p"]
     row = ",".join([_FMT] * 5)  # one % per row
     lines.extend(row % tuple(r) for r in np.column_stack([points, u, p]).tolist())
@@ -505,6 +505,8 @@ def cmd_field(config_path: Path, snapshot_path: Path) -> int:
 
 
 def cmd_spectrum(k_max: int, stream=None) -> int:
+    if k_max < 0:
+        raise ConfigError(f"k_max: must be >= 0, got {k_max}")
     stream = stream or sys.stdout
     print("k,eig_minus,eig_plus", file=stream)
     for k in range(k_max + 1):
@@ -516,7 +518,10 @@ def cmd_spectrum(k_max: int, stream=None) -> int:
 def cmd_fit(snapshot_path: Path, stream=None) -> int:
     stream = stream or sys.stdout
     X = read_snapshot(snapshot_path)
-    fit = closest_equilibrium(X)
+    try:
+        fit = closest_equilibrium(X)
+    except OrientationError as exc:
+        raise ConfigError(f"{snapshot_path}: {exc} (clockwise or self-intersecting curve)") from None
     print(f"theta_star = {_FMT % fit.theta_star}", file=stream)
     print(f"x_star = ({_FMT % fit.x_star[0]}, {_FMT % fit.x_star[1]})", file=stream)
     print(f"radius = {_FMT % fit.radius}", file=stream)

@@ -82,8 +82,6 @@ class CurveState:
         Exact for the band-limited curve the samples define; used by near-curve
         quadrature. Returns arrays of shape (factor*N, 2).
         """
-        if factor == 1:
-            return self.x.values, self.xp.values
         cached = self._upsampled.get(factor)
         if cached is None:
             m = factor * self.n

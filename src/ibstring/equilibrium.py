@@ -24,7 +24,6 @@ __all__ = [
     "closest_equilibrium",
     "first_order_residual",
     "h1_energy_equivalence",
-    "deviation_in_unit_gauge",
     "linearized_velocity",
     "mode_block",
     "measure_decay_rate",
@@ -50,7 +49,7 @@ class EquilibriumFit:
 def closest_equilibrium(Y: CurveState) -> EquilibriumFit:
     """Fit the closest equilibrium circle to a positively oriented curve."""
     radius = effective_radius(Y)
-    coeffs = to_spectral(Y.x).coeffs
+    coeffs = to_spectral(Y.x)
     x_star = np.real(coeffs[0])
     c = complex(coeffs[1, 0] + 1j * coeffs[1, 1])
     degenerate = abs(c) < 1e-12 * radius
@@ -96,21 +95,6 @@ def h1_energy_equivalence(Y: CurveState) -> tuple[float, float, float]:
 def fit_distance(Y: CurveState, fit: EquilibriumFit, order: float) -> float:
     """Homogeneous Sobolev distance between Y and its fitted equilibrium."""
     return sobolev_seminorm(GridField(Y.x.values - fit.x_star_samples.values), order)
-
-
-def deviation_in_unit_gauge(Y: CurveState, fit: EquilibriumFit) -> GridField:
-    """Deviation from the fitted circle mapped to the unit-circle gauge.
-
-    Translates by -x*, rotates by -theta* and rescales by 1/R, so the
-    linearized operator (which assumes the unit circle) applies; decay rates
-    are invariant under this normalization.
-    """
-    ct, st = np.cos(fit.theta_star), np.sin(fit.theta_star)
-    rot = np.array([[ct, st], [-st, ct]])
-    shifted = (Y.x.values - fit.x_star[None, :]) @ rot.T / fit.radius
-    s = Y.s
-    unit_circle = np.stack([np.cos(s), np.sin(s)], axis=1)
-    return GridField(shifted - unit_circle)
 
 
 def linearized_velocity(D: GridField) -> GridField:

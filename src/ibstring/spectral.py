@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "NonFiniteFieldError",
     "GridField",
-    "SpectralField",
     "to_spectral",
     "from_spectral",
     "derivative",
@@ -76,50 +75,19 @@ class GridField:
         return 2.0 * np.pi * np.arange(self.n) / self.n
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients of a real 2-vector field.
-
-    coeffs has shape (N, 2) complex in numpy fft order; coeffs[k] multiplies
-    e^{iks} with the normalization coeffs = fft(values)/N, so a constant field
-    c has coeffs[0] = c. Reality means coeff(-k) = conj(coeff(k)) and a real
-    Nyquist coefficient.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 2 or c.shape[1] != 2:
-            raise ValueError(f"expected shape (N, 2), got {c.shape}")
-        n = c.shape[0]
-        if n < 8 or n % 2 != 0:
-            raise ValueError(f"N must be even and >= 8, got {n}")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
-
-    def reality_defect(self) -> float:
-        """Max |coeff(-k) - conj(coeff(k))|, including Im of the Nyquist mode."""
-        c = self.coeffs
-        n = self.n
-        idx_neg = (-np.arange(n)) % n
-        defect = np.max(np.abs(c[idx_neg] - np.conj(c)))
-        return float(max(defect, np.max(np.abs(c[n // 2].imag))))
+def to_spectral(f: GridField) -> np.ndarray:
+    """Read-only (N, 2) complex coefficients fft(values)/N, in numpy fft
+    order: row k multiplies e^{iks}, so a constant field c has row 0 = c.
+    Linear, and the exact inverse of from_spectral."""
+    c = np.fft.fft(f.values, axis=0) / f.n
+    c.flags.writeable = False
+    return c
 
 
-def to_spectral(f: GridField) -> SpectralField:
-    """Forward transform; linear, exact inverse of from_spectral."""
-    return SpectralField(np.fft.fft(f.values, axis=0) / f.n)
-
-
-def from_spectral(fc: SpectralField) -> GridField:
-    """Inverse transform back to samples (imaginary residue is discarded)."""
-    return GridField(np.real(np.fft.ifft(fc.coeffs * fc.n, axis=0)))
+def from_spectral(coeffs: np.ndarray) -> GridField:
+    """Samples of an (N, 2) coefficient array (imaginary residue is discarded);
+    GridField rejects any other shape, and odd or small N."""
+    return GridField(np.real(np.fft.ifft(coeffs * len(coeffs), axis=0)))
 
 
 def mean(f: GridField) -> np.ndarray:

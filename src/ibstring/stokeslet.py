@@ -18,7 +18,6 @@ the accuracy envelope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -35,7 +34,6 @@ from .curve import (
 from .spectral import GridField, fractional_laplacian_half
 
 __all__ = [
-    "FlowSample",
     "OnCurvePointError",
     "stokeslet",
     "pressure_kernel",
@@ -53,15 +51,6 @@ _FOUR_PI = 4.0 * np.pi
 
 class OnCurvePointError(ValueError):
     """Evaluation point coincides with a curve sample; use on_curve_velocity."""
-
-
-@dataclass(frozen=True)
-class FlowSample:
-    """Velocity and pressure of the reconstructed Stokes flow at one point."""
-
-    u: np.ndarray
-    p: float
-    location: np.ndarray
 
 
 def stokeslet(x: np.ndarray) -> np.ndarray:
@@ -120,8 +109,8 @@ def on_curve_velocity(X: CurveState) -> GridField:
 
     The integrand is smooth across the diagonal, so the rule is spectrally
     accurate; this is the full right-hand side of the contour dynamics. The
-    pass runs over row blocks of the pair matrices, sums each block's rows
-    with BLAS products, and leaves the well-stretched constant memoized on X.
+    pass runs over row blocks of the pair matrices and sums each block's rows
+    with BLAS products.
     """
     vp = X.xp.values
     a_perp = np.stack([-vp[:, 1], vp[:, 0]], axis=1)
@@ -162,7 +151,7 @@ def _row_sums(A: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _off_curve_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sample_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Velocity (P, 2) and pressure (P,) at P points; NaN rows on the curve.
 
     Velocity: trapezoid of -d/ds'[G(x - X(s'))](X'(s') - X'(s_x)), s_x the
@@ -242,24 +231,22 @@ def _off_curve_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.n
     return u, p
 
 
-def sample_flow(X: CurveState, x: np.ndarray) -> FlowSample:
-    """Velocity and pressure at one off-curve point: the batched evaluator's
-    one-point case."""
-    u, p = _off_curve_flow(X, x)
+def _at_point(X: CurveState, x: np.ndarray) -> tuple[np.ndarray, float]:
+    u, p = sample_flow(X, x)
     if np.isnan(p[0]):
         raise OnCurvePointError("point coincides with a curve sample; use on_curve_velocity")
-    return FlowSample(u=u[0], p=float(p[0]), location=np.array(x, dtype=float))
+    return u[0], float(p[0])
 
 
 def off_curve_velocity(X: CurveState, x: np.ndarray) -> np.ndarray:
-    """Flow velocity at a point off the curve."""
-    return sample_flow(X, x).u
+    """Flow velocity at a point off the curve: sample_flow's one-point case."""
+    return _at_point(X, x)[0]
 
 
 def pressure_at(X: CurveState, x: np.ndarray) -> float:
     """Pressure at a point off the curve, in the zero-constant gauge (only
-    pressure differences are physical)."""
-    return sample_flow(X, x).p
+    pressure differences are physical): sample_flow's one-point case."""
+    return _at_point(X, x)[1]
 
 
 # ---------------------------------------------------------------------------

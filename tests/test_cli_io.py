@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ibstring import make_circle, make_perturbed_circle, PerturbationMode
+from ibstring import CurveState, GridField, make_circle, make_perturbed_circle, PerturbationMode
 from ibstring.cli_io import (
     MAX_FIELD_COORD,
     MAX_FIELD_POINTS,
@@ -469,6 +469,17 @@ class TestMalformedInputs:
         self.assert_one_line_exit_2(
             ["fit", str(snap)], f"{snap}: enclosed area of the samples overflows", tmp_path / "out", capsys,
         )
+
+    def test_clockwise_snapshot_fit_exit_2(self, tmp_path, capsys):
+        snap = tmp_path / "clockwise.csv"
+        write_snapshot(snap, CurveState(GridField(make_circle(64).x.values[::-1])))
+        self.assert_one_line_exit_2(
+            ["fit", str(snap)], f"{snap}: nonpositive enclosed area -3.14159 (clockwise or self-intersecting curve)",
+            tmp_path / "out", capsys,
+        )
+
+    def test_negative_spectrum_k_exit_2(self, tmp_path, capsys):
+        self.assert_one_line_exit_2(["spectrum", "-1"], "k_max: must be >= 0, got -1", tmp_path / "out", capsys)
 
     def test_non_string_initial_path_exit_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

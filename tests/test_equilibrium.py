@@ -19,7 +19,7 @@ from ibstring import (
     sobolev_seminorm,
 )
 from ibstring.acceptance import CRITERIA, _theta_grid_search, _theta_objective, run_criterion
-from ibstring.equilibrium import deviation_in_unit_gauge, fit_distance
+from ibstring.equilibrium import fit_distance
 
 from conftest import grid, random_band_limited, random_smooth_curve
 
@@ -240,12 +240,6 @@ class TestLinearizedVelocity:
             errs.append(np.max(np.abs(u - eps * LD)))
         slope = np.log(errs[0] / errs[2]) / np.log(4.0)
         assert slope >= 1.9
-
-    def test_unit_gauge_deviation(self):
-        Y = make_circle(128, 2.0, 0.9, (3.0, -1.0))
-        fit = closest_equilibrium(Y)
-        dev = deviation_in_unit_gauge(Y, fit)
-        assert np.max(np.abs(dev.values)) < 1e-12
 
 
 class TestModeBlock:

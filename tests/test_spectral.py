@@ -30,13 +30,13 @@ def field(fx, fy, n=64):
 class TestTransforms:
     def test_constant_field_coefficients(self):
         f = field(lambda s: 0 * s + 1.7, lambda s: 0 * s + 1.7)
-        c = to_spectral(f).coeffs
+        c = to_spectral(f)
         assert np.allclose(c[0], [1.7, 1.7], atol=1e-14)
         assert np.max(np.abs(c[1:])) < 1e-14
 
     def test_single_mode_support(self):
         f = field(np.cos, lambda s: 0 * s)
-        c = to_spectral(f).coeffs
+        c = to_spectral(f)
         nonzero = np.where(np.max(np.abs(c), axis=1) > 1e-13)[0]
         assert set(nonzero) == {1, 63}  # k = +1 and k = -1
 
@@ -47,7 +47,23 @@ class TestTransforms:
 
     def test_reality_invariant(self, rng):
         c = to_spectral(GridField(rng.normal(size=(64, 2))))
-        assert c.reality_defect() < 1e-13
+        # coeff(-k) = conj(coeff(k)), and the Nyquist coefficient is real
+        assert np.max(np.abs(c[(-np.arange(64)) % 64] - np.conj(c))) < 1e-13
+        assert np.max(np.abs(c[32].imag)) < 1e-13
+
+    def test_coefficients_read_only(self, rng):
+        c = to_spectral(GridField(rng.normal(size=(16, 2))))
+        assert c.shape == (16, 2) and c.dtype == complex
+        with pytest.raises(ValueError):
+            c[0, 0] = 0.0
+
+    def test_from_spectral_validates_through_grid_field(self):
+        with pytest.raises(ValueError, match="N must be even and >= 8, got 9"):
+            from_spectral(np.zeros((9, 2), dtype=complex))
+        with pytest.raises(ValueError, match=r"expected shape \(N, 2\), got \(16, 3\)"):
+            from_spectral(np.zeros((16, 3), dtype=complex))
+        with pytest.raises(ValueError, match=r"expected shape \(N, 2\), got \(16,\)"):
+            from_spectral(np.zeros(16, dtype=complex))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):
