@@ -40,9 +40,7 @@ from .stokeslet import (
     off_curve_velocity,
     on_curve_velocity,
     pressure_at,
-    pressure_kernel,
     sample_flow,
-    stokeslet,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,7 @@ from .curve import (
     make_reparam_circle,
     well_stretched_constant,
 )
-from .dynamics import StepperConfig, run
+from .dynamics import DiagnosticsRow, StepperConfig, run
 from .equilibrium import (
     EquilibriumFit,
     closest_equilibrium,
@@ -109,12 +109,9 @@ def _c1_equilibrium_steadiness():
     X = make_circle(256)
     umax = float(np.max(np.abs(on_curve_velocity(X).values)))
     res = run(X, StepperConfig(scheme="exp_euler", dt=1e-2, t_end=1.0, snapshot_every=100))
-    fields = (
-        "energy", "dissipation", "well_stretched", "radius", "area",
-        "dist_h1", "dist_h52", "theta_star", "xstar_x", "xstar_y",
-    )
     drift = max(
-        abs(getattr(res.rows[-1], f) - getattr(res.rows[0], f)) for f in fields
+        abs(getattr(res.rows[-1], f.name) - getattr(res.rows[0], f.name))
+        for f in fields(DiagnosticsRow) if f.name != "t"
     )
     ok = umax < 1e-10 and drift < 1e-9
     return ok, f"max|u| = {umax:.2e} (< 1e-10), diagnostic drift over t=1: {drift:.2e} (< 1e-9)"

@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, NoReturn, Sequence
 
@@ -325,6 +325,10 @@ def build_initial(cfg: RunConfig) -> CurveState:
         if X.n != cfg.grid_n:
             raise ConfigError(f"initial.path: snapshot has N = {X.n}, config grid_n = {cfg.grid_n}")
     _check_input(X, "initial")
+    try:
+        enclosed_area(X)
+    except OrientationError as exc:
+        raise ConfigError(f"initial: {exc} (clockwise or self-intersecting curve)") from None
     lam = well_stretched_constant(X)
     if lam <= 0:
         raise ConfigError(f"initial: configuration degenerate (well-stretched constant {lam:g})")
@@ -395,23 +399,17 @@ def _check_input(X: CurveState, source: str | Path) -> None:
         except NonFiniteFieldError as exc:
             raise ConfigError(f"{source}: {exc}") from None
         except OrientationError:
-            pass  # a reversed curve is a regime exit of the run (exit 3)
+            pass  # field reads a reversed curve; build_initial and fit reject it
 
 
-_DIAG_COLUMNS = (
-    "t", "energy", "dissipation", "lambda", "radius", "area",
-    "dist_h1", "dist_h52", "theta_star", "xstar_x", "xstar_y",
-)
+_DIAG_FIELDS = tuple(f.name for f in fields(DiagnosticsRow))
 
 
 def diagnostics_lines(rows: Sequence[DiagnosticsRow]) -> list[str]:
-    out = [",".join(_DIAG_COLUMNS)]
-    row = ",".join([_FMT] * len(_DIAG_COLUMNS))  # one % per row
-    for r in rows:
-        out.append(row % (
-            r.t, r.energy, r.dissipation, r.well_stretched, r.radius, r.area,
-            r.dist_h1, r.dist_h52, r.theta_star, r.xstar_x, r.xstar_y,
-        ))
+    """CSV lines in DiagnosticsRow's field order; well_stretched is headed lambda."""
+    out = [",".join("lambda" if f == "well_stretched" else f for f in _DIAG_FIELDS)]
+    row = ",".join([_FMT] * len(_DIAG_FIELDS))  # one % per row
+    out.extend(row % tuple(getattr(r, f) for f in _DIAG_FIELDS) for r in rows)
     return out
 
 

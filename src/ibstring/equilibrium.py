@@ -88,7 +88,7 @@ def h1_energy_equivalence(Y: CurveState) -> tuple[float, float, float]:
     """
     fit = closest_equilibrium(Y)
     excess = sobolev_seminorm(Y.x, 1.0) ** 2 - sobolev_seminorm(fit.x_star_samples, 1.0) ** 2
-    dist_sq = sobolev_seminorm(GridField(Y.x.values - fit.x_star_samples.values), 1.0) ** 2
+    dist_sq = fit_distance(Y, fit, 1.0) ** 2
     return 0.5 * excess, dist_sq, 4.0 * excess
 
 

@@ -1,10 +1,10 @@
 """Boundary-integral evaluations for the immersed string.
 
-Velocity Green's function of steady 2-D Stokes flow, the regularized on-curve
-velocity integrand, off-curve velocity/pressure, the energy dissipation rate,
-the nonstiff forcing of the contour dynamics and the s-derivative of that
-forcing. The on-curve integrands exist once, as private generators over the
-row blocks of their pair matrices; the public functions sum those rows.
+The regularized on-curve velocity integrand of steady 2-D Stokes flow,
+off-curve velocity/pressure, the energy dissipation rate, the nonstiff
+forcing of the contour dynamics and the s-derivative of that forcing. The
+on-curve integrands exist once, as private generators over the row blocks of
+their pair matrices; the public functions sum those rows.
 
 All on-curve integrals use the periodic trapezoid rule with the analytic
 removable-singularity limit substituted on the diagonal (no point exclusion).
@@ -35,8 +35,6 @@ from .spectral import GridField, fractional_laplacian_half
 
 __all__ = [
     "OnCurvePointError",
-    "stokeslet",
-    "pressure_kernel",
     "on_curve_velocity",
     "off_curve_velocity",
     "pressure_at",
@@ -51,24 +49,6 @@ _FOUR_PI = 4.0 * np.pi
 
 class OnCurvePointError(ValueError):
     """Evaluation point coincides with a curve sample; use on_curve_velocity."""
-
-
-def stokeslet(x: np.ndarray) -> np.ndarray:
-    """Velocity Green's function (1/4pi)(-ln|x| Id + x (x) x / |x|^2)."""
-    x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    if r2 == 0.0:
-        raise ValueError("stokeslet is singular at the origin")
-    return (-0.5 * np.log(r2) * np.eye(2) + np.outer(x, x) / r2) / _FOUR_PI
-
-
-def pressure_kernel(x: np.ndarray) -> np.ndarray:
-    """Pressure Green's function x / (2 pi |x|^2)."""
-    x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    if r2 == 0.0:
-        raise ValueError("pressure kernel is singular at the origin")
-    return x / (2.0 * np.pi * r2)
 
 
 # ---------------------------------------------------------------------------
@@ -299,83 +279,38 @@ def _tau_factor(tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chain(out: np.ndarray, first, *factors) -> np.ndarray:
-    """first * factors[0] * factors[1] * ... into out, multiplied left to right
-    as the written product would be (a scalar factor commutes exactly)."""
-    np.multiply(first, factors[0], out=out)
-    for f in factors[1:]:
-        out *= f
-    return out
-
-
 def _forcing_derivative_rows(X: CurveState) -> Iterator[tuple]:
     """Row blocks (rows, gx, gy) of 4pi times the simplified integrand of the
     s-derivative of the nonstiff forcing.
 
     Closed form in the quotients L = w/tau, M = d/tau of _pair_blocks' chords
     (diagonal limits X', X'') and N = (L - X'(s))/tau, with b = X'(s); its
-    continuous limit on the diagonal is zero. Each product is formed in place,
-    in the chord blocks and one reused workspace, in the operation order of
-    the formulas in the comments; the next block overwrites gx and gy. The tau
-    factor depends only on s' - s, so it is tabulated once per pass.
+    continuous limit on the diagonal is zero. The tau factor depends only on
+    s' - s, so it is tabulated once per pass.
     """
     vp, vpp = X.xp.values, X.xpp.values
     ax, ay = vp[:, 0], vp[:, 1]
     f_rows = _toeplitz_rows(_tau_factor(_torus_offsets(X.n)))
-    work = _workspace(14, X.n)
-    # the |w|^2 block is spare once yielded: it holds inv = 1/|L|^2, then c_b
-    for rows, diag, Lx, Ly, Mx, My, inv, _, inv_tau in _pair_blocks(X):
-        Nx, Ny, LM, LN, La, Lb, NM, Na, MM, c_M, inv2, inv3, t, u = work[:, : rows.stop - rows.start]
+    for rows, diag, wx, wy, dx, dy, _, _, inv_tau in _pair_blocks(X):
         bx, by = vp[rows, 0, None], vp[rows, 1, None]
-        for q in (Lx, Ly, Mx, My):
-            q *= inv_tau
+        Lx, Ly, Mx, My = wx * inv_tau, wy * inv_tau, dx * inv_tau, dy * inv_tau
         Lx[diag], Ly[diag] = vp[rows, 0], vp[rows, 1]
         Mx[diag], My[diag] = vpp[rows, 0], vpp[rows, 1]
-        np.multiply(Lx, Lx, out=inv)
-        inv += np.multiply(Ly, Ly, out=t)
-        np.divide(1.0, inv, out=inv)
+        inv = 1.0 / (Lx * Lx + Ly * Ly)
         # N = (L - X'(s))/tau off the diagonal (diagonal is overwritten to zero)
-        np.subtract(Lx, bx, out=Nx)
-        Nx *= inv_tau
-        np.subtract(Ly, by, out=Ny)
-        Ny *= inv_tau
-        # the dot products P.Q = Px Qx + Py Qy
-        for out, (px, qx, py, qy) in (
-            (LM, (Lx, Mx, Ly, My)), (LN, (Lx, Nx, Ly, Ny)), (La, (Lx, ax, Ly, ay)),
-            (Lb, (Lx, bx, Ly, by)), (NM, (Nx, Mx, Ny, My)), (Na, (Nx, ax, Ny, ay)),
-            (MM, (Mx, Mx, My, My)),
-        ):
-            np.multiply(px, qx, out=out)
-            out += np.multiply(py, qy, out=t)
-        np.multiply(inv, inv, out=inv2)
-        np.power(inv, 3, out=inv3)
-        # c_M = ((b - L).N) inv - 2 LN Lb inv^2 - f(tau)
-        np.subtract(bx, Lx, out=c_M)
-        c_M *= Nx
-        c_M += _chain(t, np.subtract(by, Ly, out=t), Ny)
-        c_M *= inv
-        c_M -= _chain(t, LN, 2.0, Lb, inv2)
-        c_M -= f_rows[rows]
-        # c_b = (MM - 2 NM) inv + 2 LN LM inv^2, into inv
-        c_b = _chain(inv, inv, np.subtract(MM, _chain(t, NM, 2.0), out=t))
-        c_b += _chain(t, LN, 2.0, LM, inv2)
-        # c_L = 2 LM (LM - LN) Lb inv^3 + 2 (NM - MM) Lb inv^2 - 6 LM La LN inv^3
-        #       + 2 NM La inv^2 + 2 LM Na inv^2
-        c_L = _chain(t, LM, 2.0, np.subtract(LM, LN, out=u), Lb, inv3)
-        c_L += _chain(u, np.subtract(NM, MM, out=u), 2.0, Lb, inv2)
-        c_L -= _chain(u, LM, 6.0, La, LN, inv3)
-        c_L += _chain(u, NM, 2.0, La, inv2)
-        c_L += _chain(u, LM, 2.0, Na, inv2)
-        # c_N = 2 LM La inv^2
-        c_N = _chain(u, LM, 2.0, La, inv2)
-        # g = c_M M + c_b b + c_L L + c_N N, into blocks no longer needed
-        gx, gy, tmp = LM, La, LN
-        for g, m_, b_, l_, n_ in ((gx, Mx, bx, Lx, Nx), (gy, My, by, Ly, Ny)):
-            np.multiply(c_M, m_, out=g)
-            g += np.multiply(c_b, b_, out=tmp)
-            g += np.multiply(c_L, l_, out=tmp)
-            g += np.multiply(c_N, n_, out=tmp)
-            g[diag] = 0.0  # continuous limit of the integrand at the diagonal
+        Nx, Ny = (Lx - bx) * inv_tau, (Ly - by) * inv_tau
+        LM, LN, La = Lx * Mx + Ly * My, Lx * Nx + Ly * Ny, Lx * ax + Ly * ay
+        Lb, NM, Na = Lx * bx + Ly * by, Nx * Mx + Ny * My, Nx * ax + Ny * ay
+        MM = Mx * Mx + My * My
+        inv2, inv3 = inv**2, inv**3
+        c_M = ((bx - Lx) * Nx + (by - Ly) * Ny) * inv - 2.0 * LN * Lb * inv2 - f_rows[rows]
+        c_b = (MM - 2.0 * NM) * inv + 2.0 * LN * LM * inv2
+        c_L = (2.0 * LM * (LM - LN) * Lb * inv3 + 2.0 * (NM - MM) * Lb * inv2 - 6.0 * LM * La * LN * inv3
+               + 2.0 * NM * La * inv2 + 2.0 * LM * Na * inv2)
+        c_N = 2.0 * LM * La * inv2
+        gx = c_M * Mx + c_b * bx + c_L * Lx + c_N * Nx
+        gy = c_M * My + c_b * by + c_L * Ly + c_N * Ny
+        gx[diag] = gy[diag] = 0.0  # continuous limit of the integrand at the diagonal
         yield rows, gx, gy
 
 

@@ -478,6 +478,24 @@ class TestMalformedInputs:
             tmp_path / "out", capsys,
         )
 
+    def test_clockwise_initial_simulate_exit_2(self, tmp_path, capsys):
+        # a mirrored unit circle is rejected before the first step; field still reads it
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(
+            t_end=0.02, dt=0.01, output_dir=str(tmp_path / "out"),
+            initial={"kind": "perturbed_circle", "modes": [{"k": 1, "amp_x": -2}]},
+            field_grid={"xmin": -2, "xmax": 2, "ymin": -2, "ymax": 2, "nx": 3, "ny": 2},
+        ))
+        self.assert_one_line_exit_2(
+            ["simulate", str(cfg_path)],
+            "initial: nonpositive enclosed area -3.14159 (clockwise or self-intersecting curve)",
+            tmp_path / "out", capsys,
+        )
+        snap = tmp_path / "clockwise.csv"
+        write_snapshot(snap, make_perturbed_circle(64, 1.0, [PerturbationMode(1, amp_x=-2.0)]))
+        assert main(["field", str(cfg_path), str(snap)]) == 0
+        assert np.isfinite(np.loadtxt(tmp_path / "out" / "field.csv", delimiter=",", skiprows=1)).all()
+
     def test_negative_spectrum_k_exit_2(self, tmp_path, capsys):
         self.assert_one_line_exit_2(["spectrum", "-1"], "k_max: must be >= 0, got -1", tmp_path / "out", capsys)
 

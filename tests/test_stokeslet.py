@@ -1,7 +1,7 @@
-"""Boundary-integral kernels: Green's functions, on/off-curve flow, forcing."""
+"""Boundary-integral kernels: on/off-curve flow, dissipation, forcing."""
 
 import hashlib
-import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ibstring
 from ibstring import (
     CurveState,
     GridField,
@@ -24,9 +25,7 @@ from ibstring import (
     off_curve_velocity,
     on_curve_velocity,
     pressure_at,
-    pressure_kernel,
     sample_flow,
-    stokeslet,
 )
 from ibstring.spectral import derivative, fractional_laplacian_half
 from ibstring.stokeslet import (
@@ -81,38 +80,8 @@ def velocity_integrand_matrix(X: CurveState) -> np.ndarray:
     return out / (4.0 * np.pi)
 
 
-class TestGreensFunctions:
-    def test_stokeslet_unit_x(self):
-        G = stokeslet(np.array([1.0, 0.0]))
-        assert np.allclose(G, np.array([[1.0, 0.0], [0.0, 0.0]]) / (4 * np.pi), atol=1e-15)
-
-    def test_stokeslet_at_e_on_y_axis(self):
-        G = stokeslet(np.array([0.0, np.e]))
-        expected = (-np.eye(2) + np.diag([0.0, 1.0])) / (4 * np.pi)
-        assert np.allclose(G, expected, atol=1e-15)
-
-    def test_stokeslet_even_symmetric_eigenvalues(self, rng):
-        for _ in range(5):
-            x = rng.normal(size=2) * 3
-            G = stokeslet(x)
-            assert np.allclose(G, stokeslet(-x), atol=1e-15)
-            assert np.allclose(G, G.T, atol=1e-15)
-            r = np.linalg.norm(x)
-            eig = np.sort(np.linalg.eigvalsh(G))
-            expected = np.sort([-np.log(r) / (4 * np.pi), (1 - np.log(r)) / (4 * np.pi)])
-            assert np.allclose(eig, expected, atol=1e-13)
-
-    def test_stokeslet_origin_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
-            stokeslet(np.zeros(2))
-
-    def test_pressure_kernel_values(self):
-        assert np.allclose(pressure_kernel(np.array([1.0, 0.0])), [1 / (2 * np.pi), 0.0])
-        assert np.allclose(pressure_kernel(np.array([0.0, 2.0])), [0.0, 1 / (4 * np.pi)])
-
-    def test_pressure_kernel_odd(self, rng):
-        x = rng.normal(size=2)
-        assert np.allclose(pressure_kernel(-x), -pressure_kernel(x), atol=1e-15)
+def test_package_attribute_is_the_module():
+    assert inspect.ismodule(ibstring.stokeslet)
 
 
 class TestVelocityIntegrand:
@@ -316,7 +285,7 @@ class TestBatchedOffCurveFlow:
         us, ps = sample_flow(X, points[order])
         assert np.array_equal(us, u[order]) and np.array_equal(ps, p[order])
         for entries in (1, 7 * X.n, 64 * X.n):  # 1, 7 and 64 points per factor-1 block
-            monkeypatch.setattr(importlib.import_module("ibstring.stokeslet"), "_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(ibstring.stokeslet, "_BLOCK_ENTRIES", entries)
             ub, pb = sample_flow(X, points)
             assert np.array_equal(ub, u) and np.array_equal(pb, p)
 
