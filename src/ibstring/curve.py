@@ -160,6 +160,38 @@ def _pair_blocks(X: CurveState) -> Iterator[tuple]:
         yield rows, diag, wx, wy, dx, dy, w2, tau, inv_tau
 
 
+# The well-stretched pass first evaluates every S-th torus offset, S = N/64 from
+# N = 512 up (S = 1 below, where that level is the whole pass), and then only
+# the offsets a Lipschitz bound cannot exclude.
+_PRUNE_MIN_N = 512
+_COARSE_OFFSETS = 64
+# Relative amount by which each float term of the bound moves to its safe side;
+# it covers the few-ulp rounding of every computed ratio many times over.
+_MARGIN = 1e-12
+# Squared ratios below this are never pruned against: below it the products can
+# underflow and lose the relative accuracy _MARGIN assumes.
+_PRUNE_FLOOR = 1e-250
+# Refinement runs separated by at most this many pairs (gap times N) are merged:
+# evaluating the gap costs less than one more pass of the run loop.
+_MERGE_PAIRS = 4096
+
+
+def _min_chord_sq(windows: np.ndarray, xy: np.ndarray, offsets: range, min_w2: np.ndarray,
+                  work: np.ndarray) -> None:
+    """min_w2[k - 1] = min_j |X(s_j+k) - X(s_j)|^2 for each torus offset k in offsets.
+
+    windows[c, k, j] = xy[c, j + k] on the doubled samples, and work is a (3,
+    rows, N) scratch array that sets how many offsets one block takes.
+    """
+    for i in range(0, len(offsets), work.shape[1]):
+        part = offsets[i: i + work.shape[1]]
+        w, w2 = work[:2, : len(part)], work[2, : len(part)]
+        np.subtract(windows[:, part.start: part.stop: part.step], xy[:, None, :], out=w)
+        np.square(w, out=w)
+        np.add(w[0], w[1], out=w2)
+        np.min(w2, axis=1, out=min_w2[part.start - 1: part.stop - 1: part.step])
+
+
 def well_stretched_constant(X: CurveState) -> float:
     """Smallest chord-to-torus-distance ratio over all distinct sample pairs.
 
@@ -167,11 +199,25 @@ def well_stretched_constant(X: CurveState) -> float:
     degeneracy at grid resolution, and it is 0 when two samples coincide or
     the tangent vanishes at one.
 
-    The pass runs over the torus offsets k = 1 .. N/2, each counted once:
-    offset k's chords X(s_j+k) - X(s_j) are a zero-copy window on the doubled
-    samples minus the samples, and its ratio is min_j |w|^2 times the scalar
-    (1/tau_k)^2, tau_k as in _torus_offsets. Since fl(a c) is monotone in a
-    for c > 0, this is bitwise the minimum over all pairs of |w|^2 (1/tau)^2.
+    Offset k = 1 .. N/2, each counted once, has the ratio min_j |w|^2 times the
+    scalar (1/tau_k)^2, w = X(s_j+k) - X(s_j) and tau_k as in _torus_offsets.
+    Since fl(a c) is monotone in a for c > 0, the minimum over the offsets is
+    bitwise the minimum over all pairs of |w|^2 (1/tau)^2.
+
+    Not every offset is evaluated. The coarse level takes k = S, 2S, .. and
+    N/2, with S = N/64 for N >= 512; below 512, S = 1 and the coarse level is
+    the whole pass. By the triangle inequality, for any offsets k and k',
+    min_j |w(k')| >= sqrt(min_j |w(k)|^2) - |k' - k| c, with c = max_j
+    |X(s_j+1) - X(s_j)| the largest chord between consecutive samples. Each
+    skipped offset k' takes the larger of the bounds from its nearest coarse
+    offset on either side (offset 0, whose chord is zero, below S), and the
+    refinement evaluates, in contiguous runs, the offsets whose bound times
+    1/tau_k' squared does not exceed the smallest coarse ratio. Each float
+    term of the bound is moved to its safe side by a relative 1e-12 (the
+    root shrunk, c inflated, the bound shrunk), far more than the few-ulp
+    rounding of the computed ratios. So an offset is skipped only when its
+    ratio exceeds one already evaluated, and the result is bitwise the full
+    pass's.
     """
     vp = X.xp.values
     if float((vp[:, 0] * vp[:, 0] + vp[:, 1] * vp[:, 1]).min()) <= 0.0:
@@ -180,16 +226,30 @@ def well_stretched_constant(X: CurveState) -> float:
     xy = X.x.values.T.copy()
     windows = sliding_window_view(np.concatenate([xy, xy], axis=1), n, axis=1)  # [c, k, j] = xy[c, j + k]
     inv_tau = 1.0 / (np.arange(1, m + 1) * (2.0 * np.pi / n))
-    min_w2 = np.empty(m)
-    step = max(1, _BLOCK_ROWS * 1024 // n)  # offsets per block: cache-sized, few blocks at small N
-    work = np.empty((3, min(step, m), n))
-    for lo in range(1, m + 1, step):
-        hi = min(lo + step, m + 1)
-        w, w2 = work[:2, : hi - lo], work[2, : hi - lo]
-        np.subtract(windows[:, lo:hi], xy[:, None, :], out=w)
-        np.square(w, out=w)
-        np.add(w[0], w[1], out=w2)
-        np.min(w2, axis=1, out=min_w2[lo - 1: hi - 1])
+    min_w2 = np.full(m, np.inf)  # stays inf at the offsets the bound skips
+    rows = max(1, _BLOCK_ROWS * 1024 // n)  # offsets per block: cache-sized, few blocks at small N
+    work = np.empty((3, min(rows, m), n))
+
+    stride = n // _COARSE_OFFSETS if n >= _PRUNE_MIN_N else 1
+    _min_chord_sq(windows, xy, range(stride, m + 1, stride), min_w2, work)
+    if m % stride:
+        _min_chord_sq(windows, xy, range(m, m + 1), min_w2, work)
+    k = np.arange(1, m + 1)
+    k = k[(k % stride != 0) & (k < m)]  # the offsets the coarse level left out
+    if k.size:
+        left = k - k % stride  # the nearest coarse offsets; offset 0 has the zero chord
+        right = np.minimum(left + stride, m)
+        # an overflowed min |w|^2 still bounds |w| below by sqrt of the largest double
+        root = np.sqrt(np.minimum(np.concatenate(([0.0], min_w2)), np.finfo(float).max)) * (1.0 - _MARGIN)
+        step = windows[:, 1] - xy
+        c = float(np.sqrt(np.max(step[0] * step[0] + step[1] * step[1]))) * (1.0 + _MARGIN)
+        lb = np.maximum(root[left] - (k - left) * c, root[right] - (right - k) * c)
+        bound = np.maximum(lb, 0.0) * (1.0 - _MARGIN) * inv_tau[k - 1]
+        best = max(float(np.min(inv_tau * inv_tau * min_w2)), _PRUNE_FLOOR)
+        k = k[bound * bound <= best]
+        first = np.flatnonzero(np.diff(k, prepend=-n) > 1 + _MERGE_PAIRS // n)  # where runs start
+        for a, b in zip(first, np.r_[first[1:], k.size]):
+            _min_chord_sq(windows, xy, range(k[a], k[b - 1] + 1), min_w2, work)
     lam_sq = float(np.min(inv_tau * inv_tau * min_w2))
     return float(np.sqrt(lam_sq)) if lam_sq > 0.0 else 0.0
 

@@ -241,9 +241,7 @@ def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
     constant drops below the threshold and with NonFiniteError on blow-up.
     """
     n_steps = round(cfg.t_end / cfg.dt)  # a positive integer, by StepperConfig
-    threshold = cfg.lambda_abort
-    if threshold is None:
-        threshold = 0.5 * well_stretched_constant(initial)
+    threshold = cfg.lambda_abort  # None until row 0 gives half its well-stretched constant
     filtering = cfg.dealias_active()
     n_c = _MIN_SAMPLES  # where the next velocity's resolution walk starts
 
@@ -251,15 +249,19 @@ def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
         # degeneracy (self-intersection, orientation flip) is a regime exit,
         # reported through the same channel as the threshold abort; X' and X''
         # are first computed here, so their overflow is a blow-up of the step
-        nonlocal n_c
+        nonlocal n_c, threshold
         try:
             u, n_c = _resolved_velocity(X, n_c)
             row = diagnostics_row(t, X, u)
         except (OrientationError, DegenerateCurveError) as exc:
+            if threshold is None:  # row 0 failed before it could set the default
+                threshold = 0.5 * well_stretched_constant(X)
             raise LambdaAbortError(t, 0.0, threshold, rows) from exc
         except NonFiniteFieldError as exc:
             raise NonFiniteError(t, rows) from exc
         rows.append(row)
+        if threshold is None:
+            threshold = 0.5 * row.well_stretched
         if row.well_stretched < threshold:
             raise LambdaAbortError(t, row.well_stretched, threshold, rows)
         return u

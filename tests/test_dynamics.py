@@ -29,6 +29,7 @@ from ibstring import (
     well_stretched_constant,
 )
 from ibstring import dynamics
+from ibstring.curve import OrientationError
 from ibstring.dynamics import LambdaAbortError, NonFiniteError, diagnostics_row
 from ibstring.equilibrium import fit_distance
 from ibstring.spectral import (
@@ -216,6 +217,33 @@ class TestRunLoop:
             run(X0, cfg)
         assert info.value.t == 0.0
         assert info.value.rows
+
+    def test_default_threshold_from_row_zero(self, monkeypatch):
+        # one lambda pass per row: the default threshold is half of row 0's
+        calls = []
+
+        def counted(X):
+            calls.append(X)
+            return well_stretched_constant(X)
+
+        monkeypatch.setattr(dynamics, "well_stretched_constant", counted)
+        X0 = make_reparam_circle(64, 1.0, 0.5)
+        res = run(X0, StepperConfig(dt=1e-2, t_end=0.05))
+        assert len(calls) == len(res.rows) == 6 and calls[0] is X0
+        lam0 = well_stretched_constant(X0)
+        with pytest.raises(LambdaAbortError) as info:
+            run(X0, StepperConfig(dt=1e-2, t_end=0.05, lambda_abort=np.nextafter(lam0, 1.0)))
+        assert info.value.t == 0.0 and info.value.value == lam0
+
+    def test_degenerate_initial_curve_reports_default_threshold(self):
+        # row 0 fails before it sets the default threshold, which is still
+        # half the initial curve's well-stretched constant
+        X0 = CurveState(GridField(make_circle(64).x.values[::-1]))
+        with pytest.raises(LambdaAbortError) as info:
+            run(X0, StepperConfig(dt=1e-2, t_end=0.05))
+        assert isinstance(info.value.__cause__, OrientationError)
+        assert info.value.threshold == 0.5 * well_stretched_constant(X0)
+        assert info.value.t == 0.0 and info.value.rows == []
 
     def test_nonfinite_abort(self):
         X0 = make_perturbed_circle(64, 1.0, [PerturbationMode(2, 1e-2, 0.0)])

@@ -11,9 +11,13 @@ import pytest
 from ibstring import (
     CurveState,
     GridField,
+    PerturbationMode,
+    StepperConfig,
     forcing_derivative_quadrature,
+    make_perturbed_circle,
     make_reparam_circle,
     on_curve_velocity,
+    run,
     well_stretched_constant,
 )
 from ibstring import curve
@@ -237,10 +241,14 @@ class TestBlockedKernelGuards:
             on_curve_velocity(X)
         assert well_stretched_constant(X) == 0.0
 
-    @pytest.mark.parametrize("offset", [1, 7, 33])
-    def test_well_stretched_zero_on_coincident_samples(self, rng, offset):
-        # offset 33 = N/2, the one offset whose pairs the pass meets twice
-        n = 66
+    @pytest.mark.parametrize(
+        "n, offset",
+        [(66, 1), (66, 7), (66, 33), (1024, 1), (1024, 7), (1024, 17), (1024, 509), (1024, 512)],
+        ids=["1", "7", "33", "1024-1", "1024-7", "1024-17", "1024-509", "1024-512"],
+    )
+    def test_well_stretched_zero_on_coincident_samples(self, rng, n, offset):
+        # offset N/2 is the one offset whose pairs the pass meets twice; at
+        # N = 1024 all but N/2 lie off the coarse offsets 16, 32, ..
         v = random_smooth_curve(rng, n=n).x.values.copy()
         v[(5 + offset) % n] = v[5]
         X = CurveState(GridField(v))
@@ -255,3 +263,95 @@ class TestBlockedKernelGuards:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the pruned well-stretched pass (N >= 512): coarse offsets, then the offsets
+# a Lipschitz bound cannot exclude
+# ---------------------------------------------------------------------------
+
+def relax_curve(seed: int, n: int = 1024) -> CurveState:
+    """The seeded perturbed circle of the relax_n1024 benchmark input: modes
+    k = 2..6 whose absolute amplitudes sum to between 0.025 and 0.05."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1.0, 1.0, size=(5, 2))
+    amps = raw * (rng.uniform(0.025, 0.05) / np.abs(raw).sum())
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(5, 2))
+    modes = [PerturbationMode(k, *amps[i], *phases[i]) for i, k in enumerate(range(2, 7))]
+    return make_perturbed_circle(n, 1.0, modes)
+
+
+def star_polygon(rng, n: int) -> CurveState:
+    """A random star-shaped polygon (3 to 23 corners at radii 0.1 to 1)
+    sampled uniformly in arclength, from a random starting point."""
+    corners = rng.integers(3, 24)
+    angle = np.sort(rng.uniform(0.0, 2.0 * np.pi, corners))
+    radius = rng.uniform(0.1, 1.0, corners)
+    p = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    p = np.vstack([p, p[:1]])
+    arc = np.r_[0.0, np.cumsum(np.hypot(*np.diff(p, axis=0).T))]
+    s = (np.arange(n) + rng.uniform()) * (arc[-1] / n)
+    return CurveState(GridField(np.stack([np.interp(s, arc, p[:, 0]), np.interp(s, arc, p[:, 1])], axis=1)))
+
+
+class TestPrunedWellStretched:
+    @pytest.mark.parametrize("n", [512, 1000, 2048, 4096])
+    def test_bitwise_full_pass(self, rng, n):
+        # 1000 leaves N/2 off the multiples of the stride 15
+        for X in (random_smooth_curve(rng, n=n), make_reparam_circle(n, 1.0, 0.5),
+                  make_reparam_circle(n, 1.0, 0.9)):
+            assert well_stretched_constant(X) == full_pair_well_stretched_constant(X)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e154, 3e154, 1e155])
+    def test_bitwise_full_pass_near_the_double_range_limits(self, scale):
+        # from 1e154 on the longest chords' |w|^2 overflow to inf, and near
+        # 1e-150 the squared ratios approach the subnormal range
+        for X in (make_reparam_circle(1024, 1.0, 0.0), make_reparam_circle(1024, 1.0, 0.9)):
+            X = CurveState(GridField(scale * X.x.values))
+            with np.errstate(over="ignore"):
+                assert well_stretched_constant(X) == full_pair_well_stretched_constant(X)
+
+    def test_star_polygons(self, rng):
+        # along a straight edge the chords grow by the largest sample spacing c
+        # per offset, so the bound is nearly tight there: with half of c it
+        # skips the minimising offset of 4 of these 20 curves
+        for _ in range(20):
+            X = star_polygon(rng, 1024)
+            assert well_stretched_constant(X) == full_pair_well_stretched_constant(X)
+
+    def test_relax_run_states_bitwise(self):
+        # every state of the relax_n1024 run for seed 1, and its diagnostics rows
+        res = run(relax_curve(1), StepperConfig(dt=0.01, t_end=0.4, snapshot_every=1))
+        assert len(res.snapshots) == len(res.rows) == 41
+        for (_, _, X), row in zip(res.snapshots, res.rows):
+            assert row.well_stretched == full_pair_well_stretched_constant(X)
+            assert well_stretched_constant(CurveState(X.x)) == row.well_stretched
+
+    @pytest.mark.parametrize("offset", [37, 509])
+    def test_minimum_off_the_coarse_offsets(self, rng, offset):
+        # pull one sample towards another, so that the smallest ratio sits at
+        # an offset the coarse level skips
+        n = 1024
+        v = random_smooth_curve(rng, n=n).x.values.copy()
+        v[100 + offset] = v[100] + 0.02 * (v[100 + offset] - v[100])
+        X = CurveState(GridField(v))
+        k = np.arange(1, n // 2 + 1)
+        per_offset = [np.min(np.sum((np.roll(v, -j, axis=0) - v) ** 2, axis=1)) for j in k]
+        assert k[np.argmin(per_offset / (k * X.h) ** 2)] % (n // curve._COARSE_OFFSETS) != 0
+        assert well_stretched_constant(X) == full_pair_well_stretched_constant(X)
+
+    def test_bound_prunes_relax_curves(self, monkeypatch):
+        # a bound that never excludes an offset would pass every test above
+        evaluated = []
+        chord_minima = curve._min_chord_sq
+
+        def counted(windows, xy, offsets, min_w2, work):
+            evaluated.append(len(offsets))
+            chord_minima(windows, xy, offsets, min_w2, work)
+
+        monkeypatch.setattr(curve, "_min_chord_sq", counted)
+        for seed in (1, 2, 3):
+            X = relax_curve(seed)
+            evaluated.clear()
+            well_stretched_constant(X)
+            assert sum(evaluated) <= 0.25 * (X.n // 2)
