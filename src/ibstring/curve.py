@@ -43,7 +43,8 @@ class DegenerateCurveError(ValueError):
 
 @dataclass(frozen=True)
 class CurveState:
-    """Sampled string configuration; X' and X'' are computed on first read.
+    """Sampled string configuration; X', X'' and the well-stretched constant
+    are computed on first read.
 
     A derivative that overflows raises NonFiniteFieldError at that read.
     """
@@ -51,8 +52,8 @@ class CurveState:
     x: GridField
 
     def __post_init__(self) -> None:
-        # memo for band-limited upsamplings, keyed by factor (pure refinement)
-        object.__setattr__(self, "_upsampled", {})
+        # memo of resampled() keyed by sample count
+        object.__setattr__(self, "_resampled", {})
 
     @cached_property
     def xp(self) -> GridField:
@@ -63,6 +64,11 @@ class CurveState:
     def xpp(self) -> GridField:
         """X''."""
         return derivative(self.x, 2)
+
+    @cached_property
+    def well_stretched(self) -> float:
+        """The well-stretched constant (see well_stretched_constant)."""
+        return _well_stretched_pass(self)
 
     @property
     def n(self) -> int:
@@ -76,17 +82,18 @@ class CurveState:
     def s(self) -> np.ndarray:
         return self.x.s
 
-    def upsampled(self, factor: int) -> tuple[np.ndarray, np.ndarray]:
-        """Samples (X, X') on a factor-times finer grid via zero-padded FFT.
+    def resampled(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Samples (X, X') of the band-limited curve on m points, each (m, 2),
+        memoized by m.
 
-        Exact for the band-limited curve the samples define; used by near-curve
-        quadrature. Returns arrays of shape (factor*N, 2).
+        Zero-padding (m > N) is exact for the curve the samples define;
+        truncation (m < N) drops the modes above m/2, so callers keep it to
+        curves whose dropped modes are rounding-level (spectral.resolved_band).
         """
-        cached = self._upsampled.get(factor)
+        cached = self._resampled.get(m)
         if cached is None:
-            m = factor * self.n
             cached = (resample(self.x, m), resample(self.xp, m))
-            self._upsampled[factor] = cached
+            self._resampled[m] = cached
         return cached
 
 
@@ -197,7 +204,14 @@ def well_stretched_constant(X: CurveState) -> float:
 
     Positive for non-self-intersecting configurations; values near zero flag
     degeneracy at grid resolution, and it is 0 when two samples coincide or
-    the tangent vanishes at one.
+    the tangent vanishes at one. The pass runs once per state, on the first
+    call, and the value is held on X like X' and X''.
+    """
+    return X.well_stretched
+
+
+def _well_stretched_pass(X: CurveState) -> float:
+    """well_stretched_constant's pass over the torus offsets.
 
     Offset k = 1 .. N/2, each counted once, has the ratio min_j |w|^2 times the
     scalar (1/tau_k)^2, w = X(s_j+k) - X(s_j) and tau_k as in _torus_offsets.

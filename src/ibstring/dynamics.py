@@ -27,7 +27,7 @@ from .curve import (
     well_stretched_constant,
 )
 from .equilibrium import closest_equilibrium, fit_distance
-from .spectral import GridField, NonFiniteFieldError, dealias, mode_amplitudes, resample, semigroup_phi1
+from .spectral import GridField, NonFiniteFieldError, dealias, resample, resolved_band, semigroup_phi1
 from .stokeslet import dissipation_rate, on_curve_velocity
 
 __all__ = [
@@ -184,11 +184,6 @@ def diagnostics_row(t: float, X: CurveState, u: GridField) -> DiagnosticsRow:
     )
 
 
-# A velocity mode counts as rounding when it is at most this multiple of the
-# curve's largest k != 0 coefficient: the velocity's own rounding floor sits
-# near 4e-15 of it (N = 1024), and 1e-15 was never met, so the tolerance is 25
-# times that floor and equals the default Krasny filter floor.
-_TAIL_TOL = 1e-13
 # The fewest samples the truncated curve gets.
 _MIN_SAMPLES = 16
 
@@ -196,39 +191,33 @@ _MIN_SAMPLES = 16
 def _resolved_velocity(X: CurveState, start: int) -> tuple[GridField, int]:
     """on_curve_velocity on the fewest samples X needs, and the next start.
 
-    Walks N_c up from start (a power of two) until both the curve's and the
-    velocity's Fourier modes above N_c/4 are at most _TAIL_TOL times the
-    curve's largest k != 0 mode; the velocity is then on_curve_velocity of X
-    truncated to N_c samples, zero-padded back to N. When no power of two
-    below N passes, it is on_curve_velocity(X) itself. When the first level
-    tried passes and the same spectra pass the test one level down, the next
-    walk starts there, so N_c falls as a curve relaxes without a second
-    evaluation per step.
+    Walks N_c up from start (a power of two) until both the curve and the
+    velocity pass spectral.resolved_band's tail test on N_c samples, against
+    the curve's bound: no Fourier mode above N_c/4 exceeds 1e-13 times the
+    curve's largest k != 0 mode. The velocity is then on_curve_velocity
+    of X truncated to N_c samples, zero-padded back to N. When no power of
+    two below N passes, it is on_curve_velocity(X) itself. When the first
+    level tried passes and the same spectra pass the test one level down,
+    the next walk starts there, so N_c falls as a curve relaxes without a
+    second evaluation per step.
     """
     n = X.n
-    amp = mode_amplitudes(X.x)
-    bound = _TAIL_TOL * float(amp[1:].max())
-    above = np.flatnonzero(amp > bound)
-    k_curve = int(above[-1]) if above.size else 0  # the curve's highest resolved mode
-
-    def resolved(amp_u: np.ndarray, n_c: int) -> bool:
-        return 4 * k_curve <= n_c and float(amp_u[n_c // 4 + 1:].max()) <= bound
-
+    k_curve, bound = resolved_band(X.x)
     n_c = max(start, _MIN_SAMPLES)
     while n_c < 4 * k_curve:
         n_c *= 2
     first = n_c
     while n_c < n:
         u = on_curve_velocity(CurveState(GridField(resample(X.x, n_c))))
-        amp_u = mode_amplitudes(u)
-        if resolved(amp_u, n_c):
+        k = max(k_curve, resolved_band(u, bound)[0])
+        if 4 * k <= n_c:
             break
         n_c *= 2
     else:
         n_c, u = n, on_curve_velocity(X)
-        amp_u = mode_amplitudes(u)
+        k = max(k_curve, resolved_band(u, bound)[0])
     lower = n_c // 2 if n_c < n else 1 << ((n - 1).bit_length() - 1)
-    if n_c == first and lower >= _MIN_SAMPLES and resolved(amp_u, lower):
+    if n_c == first and lower >= _MIN_SAMPLES and 4 * k <= lower:
         n_c = lower
     return (u if u.n == n else GridField(resample(u, n))), n_c
 

@@ -28,6 +28,7 @@ __all__ = [
     "sobolev_seminorm",
     "resample",
     "mode_amplitudes",
+    "resolved_band",
     "dealias",
     "mean",
 ]
@@ -195,6 +196,28 @@ def mode_amplitudes(f: GridField) -> np.ndarray:
     coefficient, so a rotation of the field leaves it unchanged."""
     c = np.fft.rfft(f.values, axis=0) / f.n
     return np.sqrt(np.sum(c.real**2 + c.imag**2, axis=1))
+
+
+# A mode counts as rounding when it is at most this multiple of the field's
+# largest k != 0 coefficient: the on-curve velocity's own rounding floor sits
+# near 4e-15 of the curve's (N = 1024), and 1e-15 was never met, so the
+# tolerance is 25 times that floor and equals the default Krasny filter floor.
+_TAIL_TOL = 1e-13
+
+
+def resolved_band(f: GridField, bound: float | None = None) -> tuple[int, float]:
+    """(k, bound): the highest wavenumber k whose mode amplitude exceeds bound
+    (0 when none does), and the bound, by default _TAIL_TOL times f's largest
+    k != 0 mode amplitude.
+
+    The tail test of every resolution choice: f counts as resolved on M
+    samples when no mode above M/4 exceeds the bound, that is when 4k <= M.
+    """
+    amp = mode_amplitudes(f)
+    if bound is None:
+        bound = _TAIL_TOL * float(amp[1:].max())
+    above = np.flatnonzero(amp > bound)
+    return (int(above[-1]) if above.size else 0), bound
 
 
 def sobolev_seminorm(f: GridField, s: float) -> float:

@@ -10,9 +10,10 @@ All on-curve integrals use the periodic trapezoid rule with the analytic
 removable-singularity limit substituted on the diagonal (no point exclusion).
 Off-curve velocity and pressure come from one batched evaluator over point
 blocks, written in complex variables as Cauchy sums over the samples times
-point-only factors; points closer than five grid spacings to the curve refine
-the quadrature on a band-limited upsampling of the same curve; see README for
-the accuracy envelope.
+point-only factors. Each point takes the sample count its distance needs:
+points near the curve refine the quadrature on a band-limited upsampling of
+the same curve, far points evaluate it on a truncation; see README for the
+accuracy envelope.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .curve import (
     _torus_offsets,
     _workspace,
 )
-from .spectral import GridField, fractional_laplacian_half
+from .spectral import GridField, fractional_laplacian_half, resolved_band, to_spectral
 
 __all__ = [
     "OnCurvePointError",
@@ -131,15 +132,65 @@ def _row_sums(A: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+# The rules of _sample_counts. With a strip of 48/M, truncated rows stayed
+# within 2.3e-15 max(1, |row|) of the full-N rows on eight test curves, with
+# 32/M up to 1e-12 (see README).
+_NEAR_SPACINGS = 5.0
+_NEAR_SAMPLE_DIST = 32.0
+_MAX_FACTOR = 64
+_FAR_STRIP = 48.0
+
+
+def _sample_counts(X: CurveState, dist: np.ndarray, speed: np.ndarray) -> np.ndarray:
+    """Samples M of the trapezoid rule at each point: dist is the point's
+    distance to its nearest sample and speed |X'| there.
+
+    A near point (dist < 5h speed) takes M = f N, the smallest power-of-two
+    f <= 64 with M dist >= 32 speed, on the zero-padded curve. A far point
+    z takes the fewest power-of-two M below N that passes the curve's tail
+    test (4K <= M, K from spectral.resolved_band, so that the truncation
+    drops only rounding-level modes) and dist >= F(48/M), with
+    F(sigma) = sum over 0 < |k| <= K of |c_k| (e^{|k| sigma} - 1) and c_k
+    the Fourier coefficients of X_1 + i X_2. F(sigma) bounds how far the
+    band-limited curve moves from a real s to s + i sigma, so no pole of
+    the integrand, where X(s) = z, lies in the strip |Im s| < 48/M, and the
+    rule's error there decays like e^{-48} (Trefethen & Weideman, SIAM
+    Review 56, 2014); it takes N when no M passes. Both rules compare
+    scaled lengths only, so a dilation of the curve and the points by a
+    power of two keeps every count.
+    """
+    n = X.n
+    count = np.full(len(dist), n, dtype=np.int64)
+    near = dist < _NEAR_SPACINGS * X.h * speed
+    grow = near
+    while (grow := grow & (count < _MAX_FACTOR * n) & (count * dist < _NEAR_SAMPLE_DIST * speed)).any():
+        count[grow] *= 2
+    band = resolved_band(X.x)[0]
+    c = to_spectral(X.x)
+    c = c[:, 0] + 1j * c[:, 1]
+    amp = np.abs(np.concatenate([c[1:band + 1], c[n - band:]]))
+    k = np.concatenate([np.arange(1, band + 1), np.arange(band, 0, -1)])
+    fits = ~near
+    m = 1 << ((n - 1).bit_length() - 1)  # the largest power of two below N
+    while m >= max(4 * band, 2) and (fits := fits & (dist >= np.sum(amp * np.expm1(k * (_FAR_STRIP / m))))).any():
+        count[fits] = m
+        m //= 2
+    return count
+
+
 def sample_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Velocity (P, 2) and pressure (P,) at P points; NaN rows on the curve.
 
     Velocity: trapezoid of -d/ds'[G(x - X(s'))](X'(s') - X'(s_x)), s_x the
     nearest sample (the constant X'(s_x) only conditions the quadrature).
     Pressure: (1/2pi) * integral of |X'|^2/|X-x|^2 - 2((X-x).X')^2/|X-x|^4,
-    zero-constant gauge. Within 5h of the curve the rule needs M*dist >= 32
-    samples to push the aliasing error of the near-peaked integrand to machine
-    level, so the curve is refined by zero-padded FFT (factor <= 64).
+    zero-constant gauge. The rule converges geometrically in M times the
+    width of the strip of analyticity of the integrand, about dist/|X'(s_x)|
+    near the curve, so each point takes the sample count M of
+    _sample_counts: points within 5h |X'(s_x)| of the curve on a zero-padded
+    FFT refinement (M up to 64 N), far points on a truncated curve (M down
+    to the curve's resolved band). Both are spectral.resample of the
+    band-limited curve, memoized on X by sample count.
 
     In complex variables, with z the point, zeta = X(s'), a = X'(s'),
     b = X'(s_x), W = zeta - z, R = 1/W and Q = conj(W)/W^2, both integrands
@@ -147,11 +198,12 @@ def sample_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
         4pi (u_x + i u_y) = (h/2)[S(R a^2) - 2b Re S(R a) + conj(b S(R conj a)
                                   + S(Q a^2) - b S(Q a))],
         p = -(h/2pi) Re S(R^2 a^2),
-    S the sum over samples. Each factor's points go in (points, M) blocks of
-    W and R, with each sum one BLAS product per row against the sample
-    weights [a^2, a, conj a], so a row is bitwise the same in any block. The
-    point-only factors are applied in real arithmetic: numpy may round a
-    complex product on a one-element array differently from a longer one.
+    S the sum over samples. Each sample count's points go in (points, M)
+    blocks of W and R, with each sum one BLAS product per row against the
+    sample weights [a^2, a, conj a], so a row is bitwise the same in any
+    block. The point-only factors are applied in real arithmetic: numpy may
+    round a complex product on a one-element array differently from a longer
+    one.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     px, py = points[:, 0].copy(), points[:, 1].copy()
@@ -171,24 +223,21 @@ def sample_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
         nearest[lo:lo + step], d2[lo:lo + step] = j, sx[np.arange(len(j)), j]
     del work
     dist = np.sqrt(d2)
-    factor = np.ones(len(points), dtype=np.int64)
-    grow = dist < 5.0 * X.h
-    while (grow := grow & (factor < 64) & (factor * X.n * dist < 32.0)).any():
-        factor[grow] *= 2
+    tx, ty = X.xp.values[:, 0], X.xp.values[:, 1]
+    count = _sample_counts(X, dist, np.sqrt(tx * tx + ty * ty)[nearest])
 
     u, p = np.full((len(points), 2), np.nan), np.full(len(points), np.nan)
     z = _complex(points)
-    tx, ty = X.xp.values[:, 0], X.xp.values[:, 1]
     off = dist > 0.0
-    # largest factor first, while the fewest upsamplings are cached on X
-    for f in np.unique(factor[off])[::-1].tolist():
-        xs, xps = X.upsampled(f)
-        h = 2.0 * np.pi / (X.n * f)
+    # largest count first, while the fewest resamplings are cached on X
+    for m in np.unique(count[off])[::-1].tolist():
+        xs, xps = X.resampled(m)
+        h = 2.0 * np.pi / m
         zeta, a = _complex(xs), _complex(xps)
         weights = np.stack([a * a, a, a.conj()]).T  # (M, 3), each column contiguous
-        group = np.flatnonzero(off & (factor == f))
-        step = max(1, _BLOCK_ENTRIES // len(zeta))
-        work = np.empty((2, min(step, len(group)), len(zeta)), dtype=complex)
+        group = np.flatnonzero(off & (count == m))
+        step = max(1, _BLOCK_ENTRIES // m)
+        work = np.empty((2, min(step, len(group)), m), dtype=complex)
         for lo in range(0, len(group), step):
             idx = group[lo:lo + step]
             W, R = work[:, : len(idx)]

@@ -5,8 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ibstring import CurveState, PerturbationMode, make_perturbed_circle
+
 # one generator each for random curves and fields, shared with the acceptance suite
 from ibstring.acceptance import random_band_limited, random_smooth_curve  # noqa: F401
+
+
+def relax_curve(seed: int, n: int = 1024) -> CurveState:
+    """The seeded perturbed circle of the relax_n1024 and field_n1024 benchmark
+    inputs: modes k = 2..6 whose absolute amplitudes sum to between 0.025 and
+    0.05."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1.0, 1.0, size=(5, 2))
+    amps = raw * (rng.uniform(0.025, 0.05) / np.abs(raw).sum())
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(5, 2))
+    modes = [PerturbationMode(k, *amps[i], *phases[i]) for i, k in enumerate(range(2, 7))]
+    return make_perturbed_circle(n, 1.0, modes)
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ibstring import CurveState, GridField, make_circle, make_perturbed_circle, PerturbationMode
+from ibstring import CurveState, GridField, curve, make_circle, make_perturbed_circle, PerturbationMode
 from ibstring.cli_io import (
     MAX_FIELD_COORD,
     MAX_FIELD_POINTS,
@@ -209,6 +209,19 @@ class TestSubcommands:
         assert (out / "snap_00000000.csv").exists()
         assert (out / "snap_00000005.csv").exists()
         assert (out / "final.svg").exists()
+
+    def test_simulate_runs_one_lambda_pass_per_row(self, tmp_path, monkeypatch):
+        # build_initial's degeneracy check and diagnostics row 0 share the
+        # initial state's pass
+        passes = []
+        full_pass = curve._well_stretched_pass
+        monkeypatch.setattr(curve, "_well_stretched_pass", lambda X: passes.append(X) or full_pass(X))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(config_text(t_end=0.05, output_dir=str(tmp_path / "out"),
+                                        initial={"kind": "reparam_circle", "beta": 0.5}))
+        assert main(["simulate", str(cfg_path)]) == 0
+        rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
+        assert len(passes) == len(rows) == 6
 
     def test_simulate_config_error_exit_2(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

@@ -11,10 +11,8 @@ import pytest
 from ibstring import (
     CurveState,
     GridField,
-    PerturbationMode,
     StepperConfig,
     forcing_derivative_quadrature,
-    make_perturbed_circle,
     make_reparam_circle,
     on_curve_velocity,
     run,
@@ -24,7 +22,7 @@ from ibstring import curve
 from ibstring.curve import _BLOCK_ROWS, DegenerateCurveError, _pair_blocks
 from ibstring.stokeslet import _tau_factor
 
-from conftest import random_smooth_curve
+from conftest import random_smooth_curve, relax_curve
 
 _FOUR_PI = 4.0 * np.pi
 
@@ -269,17 +267,6 @@ class TestBlockedKernelGuards:
 # the pruned well-stretched pass (N >= 512): coarse offsets, then the offsets
 # a Lipschitz bound cannot exclude
 # ---------------------------------------------------------------------------
-
-def relax_curve(seed: int, n: int = 1024) -> CurveState:
-    """The seeded perturbed circle of the relax_n1024 benchmark input: modes
-    k = 2..6 whose absolute amplitudes sum to between 0.025 and 0.05."""
-    rng = np.random.default_rng(seed)
-    raw = rng.uniform(-1.0, 1.0, size=(5, 2))
-    amps = raw * (rng.uniform(0.025, 0.05) / np.abs(raw).sum())
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(5, 2))
-    modes = [PerturbationMode(k, *amps[i], *phases[i]) for i, k in enumerate(range(2, 7))]
-    return make_perturbed_circle(n, 1.0, modes)
-
 
 def star_polygon(rng, n: int) -> CurveState:
     """A random star-shaped polygon (3 to 23 corners at radii 0.1 to 1)

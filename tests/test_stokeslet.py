@@ -36,7 +36,7 @@ from ibstring.stokeslet import (
     _velocity_rows,
 )
 
-from conftest import random_smooth_curve
+from conftest import random_smooth_curve, relax_curve
 
 
 def on_curve_velocity_zero_gauge(X: CurveState) -> GridField:
@@ -221,17 +221,24 @@ class TestOffCurveFlow:
         assert gaps[0] > gaps[1] > gaps[2]
 
 
-def pointwise_flow(X: CurveState, x: np.ndarray) -> tuple[np.ndarray, float, int]:
+def pointwise_flow(X: CurveState, x: np.ndarray, factor: int | None = None) -> tuple[np.ndarray, float, int]:
     """The per-point off-curve velocity and pressure that the batched evaluator
-    replaced, kept as its oracle; also returns the upsampling factor used."""
+    replaced, kept as its oracle; also returns the upsampling factor used.
+
+    Unless factor is given, it refines within 5h|b| of the curve (b = X' at
+    the nearest sample) to the smallest power-of-two factor f <= 64 with
+    f N dist >= 32 |b|; every other point takes all N samples.
+    """
     d2 = np.einsum("ij,ij->i", X.x.values - x[None, :], X.x.values - x[None, :])
     jx = int(np.argmin(d2))
     dist = float(np.sqrt(d2[jx]))
-    factor = 1
-    if dist < 5.0 * X.h:
-        while factor < 64 and factor * X.n * dist < 32.0:
-            factor *= 2
-    xs, xps = X.upsampled(factor)
+    speed = float(np.sqrt(X.xp.values[jx] @ X.xp.values[jx]))
+    if factor is None:
+        factor = 1
+        if dist < 5.0 * X.h * speed:
+            while factor < 64 and factor * X.n * dist < 32.0 * speed:
+                factor *= 2
+    xs, xps = X.resampled(factor * X.n)
     h = 2.0 * np.pi / (X.n * factor)
     w = xs - x[None, :]
     r2 = np.einsum("ij,ij->i", w, w)
@@ -250,16 +257,58 @@ def pointwise_flow(X: CurveState, x: np.ndarray) -> tuple[np.ndarray, float, int
 
 def lattice_with_every_factor(X: CurveState) -> np.ndarray:
     """A coarse lattice plus points on both sides of the curve at distances
-    48 / (f N), which take upsampling factor f = 1, 2, ..., 64."""
+    48 |X'| / (f N), which take upsampling factor f = 1, 2, ..., 64."""
     xs = np.linspace(-1.6, 1.6, 9)
     points = [(x, y) for y in xs for x in xs]
     for j in (0, X.n // 3, X.n // 2 + 1):
-        t = X.xp.values[j] / np.linalg.norm(X.xp.values[j])
-        normal = np.array([-t[1], t[0]])
+        normal = np.array([-X.xp.values[j, 1], X.xp.values[j, 0]])  # |normal| = |X'|
         for f in (1, 2, 4, 8, 16, 32, 64):
             for sgn in (1.0, -1.0):
                 points.append(tuple(X.x.values[j] + sgn * 48.0 / (f * X.n) * normal))
     return np.array(points)
+
+
+def field_lattice(side: int) -> np.ndarray:
+    """side x side points over [-1.6, 1.6]^2, the field_n1024 benchmark's
+    lattice at side = 80."""
+    axis = np.linspace(-1.6, 1.6, side)
+    return np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+
+
+def far_ring() -> np.ndarray:
+    """Eight points on each circle of radius 2, 4, 16 and 100 about the origin."""
+    angle = 2.0 * np.pi * np.arange(8) / 8 + 0.1
+    return np.array([(r * np.cos(a), r * np.sin(a)) for r in (2.0, 4.0, 16.0, 100.0) for a in angle])
+
+
+def recorded_counts(monkeypatch) -> list:
+    """Record every per-point sample count that sample_flow's rule returns."""
+    seen = []
+    rule = ibstring.stokeslet._sample_counts
+
+    def record(*args):
+        seen.append(rule(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(ibstring.stokeslet, "_sample_counts", record)
+    return seen
+
+
+def assert_rows_independent_of_blocks_and_order(X: CurveState, points: np.ndarray, rng, monkeypatch) -> None:
+    """Each lattice row equals its one-point call and does not depend on the
+    order of the points or on the block size, bit for bit."""
+    u, p = sample_flow(X, points)
+    for x, ux, px in zip(points, u, p):
+        uy, py = sample_flow(X, x)
+        assert uy[0].tolist() == ux.tolist() and py[0] == px
+        assert off_curve_velocity(X, x).tolist() == ux.tolist() and pressure_at(X, x) == px
+    order = rng.permutation(len(points))
+    us, ps = sample_flow(X, points[order])
+    assert np.array_equal(us, u[order]) and np.array_equal(ps, p[order])
+    for entries in (1, 7 * X.n, 64 * X.n):  # 1, 7 and 64 points per N-sample block
+        monkeypatch.setattr(ibstring.stokeslet, "_BLOCK_ENTRIES", entries)
+        ub, pb = sample_flow(X, points)
+        assert np.array_equal(ub, u) and np.array_equal(pb, p)
 
 
 class TestBatchedOffCurveFlow:
@@ -275,19 +324,13 @@ class TestBatchedOffCurveFlow:
 
     def test_rows_bitwise_independent_of_blocks_and_order(self, rng, monkeypatch):
         X = random_smooth_curve(rng, 64)
-        points = lattice_with_every_factor(X)
-        u, p = sample_flow(X, points)
-        for x, ux, px in zip(points, u, p):
-            uy, py = sample_flow(X, x)
-            assert uy[0].tolist() == ux.tolist() and py[0] == px
-            assert off_curve_velocity(X, x).tolist() == ux.tolist() and pressure_at(X, x) == px
-        order = rng.permutation(len(points))
-        us, ps = sample_flow(X, points[order])
-        assert np.array_equal(us, u[order]) and np.array_equal(ps, p[order])
-        for entries in (1, 7 * X.n, 64 * X.n):  # 1, 7 and 64 points per factor-1 block
-            monkeypatch.setattr(ibstring.stokeslet, "_BLOCK_ENTRIES", entries)
-            ub, pb = sample_flow(X, points)
-            assert np.array_equal(ub, u) and np.array_equal(pb, p)
+        assert_rows_independent_of_blocks_and_order(X, lattice_with_every_factor(X), rng, monkeypatch)
+
+    def test_truncated_groups_bitwise_independent_of_blocks_and_order(self, rng, monkeypatch):
+        # at N = 1024 the far points take truncated curves of several sizes
+        X = relax_curve(2)
+        points = np.vstack([lattice_with_every_factor(X), far_ring()])
+        assert_rows_independent_of_blocks_and_order(X, points, rng, monkeypatch)
 
     def test_rigid_motion_rotates_velocity_and_keeps_pressure(self, rng):
         X = random_smooth_curve(rng, 64)
@@ -355,9 +398,82 @@ class TestBatchedOffCurveFlow:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(X._upsampled.keys() - {1}) >= 5  # the near-curve groups were exercised
+        assert sum(m > X.n for m in X._resampled) >= 5  # the near-curve groups were exercised
         assert np.isfinite(u).all() and np.isfinite(p).all()
         assert peak < 16e6
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("scale", [2.0**7, 2.0**-7])
+    def test_dilation_by_a_power_of_two_is_exact(self, rng, scale):
+        # both rules compare lengths that scale exactly, and every float
+        # operation of the sums scales exactly too
+        for X in (random_smooth_curve(rng, 64), relax_curve(1)):
+            points = np.vstack([lattice_with_every_factor(X), far_ring()])
+            u, p = sample_flow(X, points)
+            us, ps = sample_flow(CurveState(GridField(scale * X.x.values)), scale * points)
+            assert np.array_equal(us, scale * u) and np.array_equal(ps, p)
+
+    @pytest.mark.parametrize("radius", [1.0, 100.0])
+    def test_near_rows_as_accurate_at_any_curve_scale(self, radius):
+        # one local sample spacing h|X'| off the curve, against 16 N samples
+        X = make_perturbed_circle(256, radius, [PerturbationMode(3, 0.05 * radius, 0.02 * radius)])
+        for j in (0, 100, 171):
+            x = X.x.values[j] + X.h * np.array([-X.xp.values[j, 1], X.xp.values[j, 0]])
+            u, p = sample_flow(X, x)
+            ref_u, ref_p, _ = pointwise_flow(X, x, factor=16)
+            assert np.max(np.abs(u[0] - ref_u)) <= 1e-10 * np.max(np.abs(ref_u))
+            assert abs(p[0] - ref_p) <= 1e-10 * abs(ref_p)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, None])
+    def test_far_rows_match_the_full_resolution_oracle(self, monkeypatch, seed):
+        # the benchmark's curves and a beta = 0.5 circle (None), whose speed
+        # |X'| runs from 0.5 to 1.5
+        X = make_reparam_circle(1024, 1.0, 0.5) if seed is None else relax_curve(seed)
+        points = np.vstack([field_lattice(40), far_ring()])
+        seen = recorded_counts(monkeypatch)
+        u, p = sample_flow(X, points)
+        refs = [pointwise_flow(X, x) for x in points]
+        far = np.array([f == 1 for *_, f in refs])
+        assert len(np.unique(seen[0][seen[0] < X.n])) >= 3  # truncated curves of several sizes
+        ref = np.array([[ru[0], ru[1], rp] for ru, rp, _ in refs])[far]
+        got = np.column_stack([u, p])[far]
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+    def test_curve_that_fills_its_spectrum_keeps_every_sample(self, monkeypatch):
+        # modes k = 2 .. N/2 - 1 fall to 1e-10 at k = N/6, and stay above the
+        # tail test's bound up to k = 233, so no power of two below N passes it
+        n = 1024
+        modes = [PerturbationMode(k, 1e-2 * 10.0 ** (-8.0 * k / (n // 6))) for k in range(2, n // 2)]
+        X = make_perturbed_circle(n, 1.0, modes)
+        points = np.vstack([field_lattice(20), far_ring()])
+        seen = recorded_counts(monkeypatch)
+        sample_flow(X, points)
+        sample_flow(relax_curve(1), points)
+        assert seen[0].min() == n
+        assert seen[1].min() < n  # the same points on a smooth curve do coarsen
+
+    def test_field_lattice_evaluates_at_most_half_the_pairs(self, monkeypatch):
+        X = relax_curve(1)
+        points = field_lattice(80)
+        pairs = []
+        row_sums = ibstring.stokeslet._row_sums
+
+        def counted(A, q):
+            if q.shape[1] == 3:  # the first of each block's three sums
+                pairs.append(A.size)
+            return row_sums(A, q)
+
+        monkeypatch.setattr(ibstring.stokeslet, "_row_sums", counted)
+        sample_flow(X, points)
+        # the rule before per-point resolution: N samples at every point,
+        # refined within 5h (absolute distance) until f N dist >= 32
+        dist = np.array([np.sqrt(np.min(np.sum((X.x.values - x) ** 2, axis=1))) for x in points])
+        factor = np.ones(len(points))
+        grow = dist < 5.0 * X.h
+        while (grow := grow & (factor < 64) & (factor * X.n * dist < 32.0)).any():
+            factor[grow] *= 2
+        assert sum(pairs) <= 0.5 * np.sum(X.n * factor[dist > 0.0])
 
 
 class TestDissipation:
