@@ -2,7 +2,7 @@
 
 Each criterion is a self-contained check returning a CheckResult; the
 registry drives both the verify subcommand and the acceptance test module.
-The quick criteria run in about 1 s and the full set in 10-20 s (shared
+The quick criteria run in about 1 s and the full set in about 14 s (shared
 2-core Xeon VM, Python 3.11, numpy 2.4; criterion 8's phase search is about
 0.25 s of the quick run).
 """

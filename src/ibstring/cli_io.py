@@ -360,10 +360,9 @@ def read_snapshot(path: Path) -> CurveState:
     if not lines or not lines[0].startswith("# ibstring-curve v1 N="):
         raise ConfigError(f"{path}: not an ibstring-curve v1 snapshot")
     header = lines[0].split("N=")[1]
-    try:
-        n = int(header)
-    except ValueError:
-        raise ConfigError(f"{path}: header N={header!r} is not an integer") from None
+    if not (header.isascii() and header.isdigit()):  # int() would also take 6_4, " 64" and +64
+        raise ConfigError(f"{path}: header N={header!r} is not an integer")
+    n = int(header)
     if n > MAX_GRID_N:
         raise ConfigError(f"{path}: N at most {MAX_GRID_N}, got {n}")
     if len(lines) - 1 != n:
@@ -374,7 +373,7 @@ def read_snapshot(path: Path) -> CurveState:
         if len(parts) != 3:
             raise ConfigError(f"{path}: malformed row {j}: {line!r}")
         try:
-            vals[j] = (float(parts[1]), float(parts[2]))
+            vals[j] = [float(p) for p in parts][1:]  # s is checked, not used: the grid is uniform
         except ValueError:
             raise ConfigError(f"{path}: non-numeric sample in row {j}: {line!r}") from None
     try:

@@ -1,19 +1,20 @@
 """Time integration of the contour dynamics and per-step diagnostics.
 
 The string velocity splits into a stiff dissipative multiplier -|k|/4 and a
-bounded remainder. Two fixed-step schemes are provided: classical RK4 on the
-full right-hand side, and an exponential Euler step that applies the stiff
-multiplier exactly per Fourier mode and treats the remainder explicitly; in
-that form it is X + dt phi1(-|k|dt/4) u, one spectral.semigroup_phi1 call.
+bounded remainder. Two fixed-step schemes take the right-hand side as a callable
+velocity(state), called once per stage: classical RK4, and an exponential Euler
+step that applies the stiff multiplier exactly per Fourier mode and treats the
+remainder explicitly, X + dt phi1(-|k|dt/4) u, one spectral.semigroup_phi1 call.
 
-The run loop evaluates the pair sum on the fewest samples the curve needs: it
-truncates the curve to N_c samples, a power of two, and zero-pads the velocity
-computed there back to N, with N_c chosen by an a-posteriori spectral tail test
-(see _resolved_velocity and README).
+A run gives every stage and every diagnostics row one evaluator: the pair sum
+on the curve truncated to the fewest samples it needs, N_c, a power of two set
+by a spectral tail test (see _resolved_velocity and README), zero-padded back
+to N. It keeps the last state's velocity, which a step's first stage reuses.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,20 +138,24 @@ class RunResult:
     final: CurveState
 
 
-def step_rk4(X: CurveState, dt: float, u: GridField | None = None) -> CurveState:
-    """One classical RK4 step; pass u to reuse a velocity already computed."""
+def step_rk4(
+    X: CurveState, dt: float, velocity: Callable[[CurveState], GridField] = on_curve_velocity
+) -> CurveState:
+    """One classical RK4 step, velocity(state) evaluated at each of its four stages."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     v = X.x.values
-    a1 = (u if u is not None else on_curve_velocity(X)).values
-    a2 = on_curve_velocity(CurveState(GridField(v + 0.5 * dt * a1))).values
-    a3 = on_curve_velocity(CurveState(GridField(v + 0.5 * dt * a2))).values
-    a4 = on_curve_velocity(CurveState(GridField(v + dt * a3))).values
+    a1 = velocity(X).values
+    a2 = velocity(CurveState(GridField(v + 0.5 * dt * a1))).values
+    a3 = velocity(CurveState(GridField(v + 0.5 * dt * a2))).values
+    a4 = velocity(CurveState(GridField(v + dt * a3))).values
     return CurveState(GridField(v + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0))
 
 
-def step_exp_euler(X: CurveState, dt: float, u: GridField | None = None) -> CurveState:
-    """Exponential Euler step: X + dt phi1(-|k|dt/4) u, one FFT pair.
+def step_exp_euler(
+    X: CurveState, dt: float, velocity: Callable[[CurveState], GridField] = on_curve_velocity
+) -> CurveState:
+    """Exponential Euler step: X + dt phi1(-|k|dt/4) u, u = velocity(X), one FFT pair.
 
     This is e^{-|k|dt/4} x_hat + dt phi1(-|k|dt/4) g_hat with g the nonstiff
     forcing, since e^z - z phi1(z) = 1; the k = 0 mode reduces to an explicit
@@ -158,11 +163,11 @@ def step_exp_euler(X: CurveState, dt: float, u: GridField | None = None) -> Curv
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    phi1_u = semigroup_phi1(u if u is not None else on_curve_velocity(X), dt)
+    phi1_u = semigroup_phi1(velocity(X), dt)
     return CurveState(GridField(X.x.values + dt * phi1_u.values))
 
 
-# scheme name -> step(X, dt, u), u the velocity at X already computed
+# scheme name -> step(X, dt, velocity), velocity(state) the right-hand side at a stage
 SCHEMES = {"rk4": step_rk4, "exp_euler": step_exp_euler}
 
 
@@ -232,16 +237,22 @@ def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
     n_steps = round(cfg.t_end / cfg.dt)  # a positive integer, by StepperConfig
     threshold = cfg.lambda_abort  # None until row 0 gives half its well-stretched constant
     filtering = cfg.dealias_active()
-    n_c = _MIN_SAMPLES  # where the next velocity's resolution walk starts
+    n_c, last = _MIN_SAMPLES, (None, None)  # where the next walk starts; the last state and its velocity
 
-    def observe(t: float, X: CurveState) -> DiagnosticsRow:
+    def velocity(X: CurveState) -> GridField:
+        nonlocal n_c, last
+        if last[0] is not X:
+            u, n_c = _resolved_velocity(X, n_c)
+            last = (X, u)
+        return last[1]
+
+    def observe(t: float, X: CurveState) -> None:
         # degeneracy (self-intersection, orientation flip) is a regime exit,
         # reported through the same channel as the threshold abort; X' and X''
         # are first computed here, so their overflow is a blow-up of the step
-        nonlocal n_c, threshold
+        nonlocal threshold
         try:
-            u, n_c = _resolved_velocity(X, n_c)
-            row = diagnostics_row(t, X, u)
+            row = diagnostics_row(t, X, velocity(X))
         except (OrientationError, DegenerateCurveError) as exc:
             if threshold is None:  # row 0 failed before it could set the default
                 threshold = 0.5 * well_stretched_constant(X)
@@ -253,16 +264,15 @@ def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
             threshold = 0.5 * row.well_stretched
         if row.well_stretched < threshold:
             raise LambdaAbortError(t, row.well_stretched, threshold, rows)
-        return u
 
     X = initial
     rows: list[DiagnosticsRow] = []
     snapshots: list[tuple[int, float, CurveState]] = [(0, 0.0, X)]
     for step in range(n_steps):
         t = step * cfg.dt
-        u = observe(t, X)
+        observe(t, X)
         try:
-            X = SCHEMES[cfg.scheme](X, cfg.dt, u)
+            X = SCHEMES[cfg.scheme](X, cfg.dt, velocity)
             if filtering:
                 X = CurveState(dealias(X.x, cfg.dealias_cutoff, cfg.krasny_floor))
         except DegenerateCurveError as exc:

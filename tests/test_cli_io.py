@@ -303,9 +303,13 @@ def bad_snapshot_text(case: str) -> str:
     """A circle snapshot broken in the way `case` names."""
     n = 9 if case == "odd_n" else 8
     rows = [f"{t:.17g},{np.cos(t):.17g},{np.sin(t):.17g}" for t in 2.0 * np.pi * np.arange(n) / n]
-    header = "eight" if case == "header_not_integer" else str(n)
+    # int() accepts the last three headers, which the v1 format never writes
+    header = {"header_not_integer": "eight", "header_underscore": "0_8", "header_space": " 8", "header_plus": "+8"}
+    header = header.get(case, str(n))
     if case == "non_numeric_cell":
         rows[3] = "0.1,abc,0.5"
+    elif case == "non_numeric_s":
+        rows[3] = "abc,1,0"
     elif case == "non_finite_sample":
         rows[3] = "0.1,nan,0.5"
     return f"# ibstring-curve v1 N={header}\n" + "\n".join(rows) + "\n"
@@ -314,7 +318,10 @@ def bad_snapshot_text(case: str) -> str:
 class TestMalformedInputs:
     """Malformed snapshots and configs end in exit 2, never a traceback."""
 
-    @pytest.mark.parametrize("case", ["header_not_integer", "non_numeric_cell", "non_finite_sample", "odd_n"])
+    @pytest.mark.parametrize("case", [
+        "header_not_integer", "header_underscore", "header_space", "header_plus",
+        "non_numeric_cell", "non_numeric_s", "non_finite_sample", "odd_n",
+    ])
     def test_bad_snapshot_exit_2(self, tmp_path, case):
         snap = tmp_path / "bad.csv"
         snap.write_text(bad_snapshot_text(case))
@@ -652,12 +659,17 @@ def test_fuzzed_inputs_never_raise(tmp_path, monkeypatch, capsys):
     assert {0, 2} <= seen  # the mutations reach both the success and the config-error paths
 
 
-def test_simulate_twice_byte_identical(tmp_path):
-    """Identical config and build give byte-identical output files."""
+@pytest.mark.parametrize("scheme", ["exp_euler", "rk4"])
+def test_simulate_twice_byte_identical(tmp_path, scheme):
+    """Identical config and build give byte-identical output files. At
+    N = 128 this curve's velocity is resolved on 64 samples, so RK4's
+    resolution walk carries across its stages below N."""
     outputs = []
     for name in ("a", "b"):
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(config_text(
+            grid_n=128,
+            scheme=scheme,
             t_end=0.06,
             snapshot_every=2,
             output_dir=str(tmp_path / name),
