@@ -304,8 +304,9 @@ def bad_snapshot_text(case: str) -> str:
     n = 9 if case == "odd_n" else 8
     rows = [f"{t:.17g},{np.cos(t):.17g},{np.sin(t):.17g}" for t in 2.0 * np.pi * np.arange(n) / n]
     # int() accepts the last three headers, which the v1 format never writes
-    header = {"header_not_integer": "eight", "header_underscore": "0_8", "header_space": " 8", "header_plus": "+8"}
-    header = header.get(case, str(n))
+    header = {
+        "header_not_integer": "eight", "header_underscore": "0_8", "header_space": " 8", "header_plus": "+8",
+    }.get(case, str(n))
     if case == "non_numeric_cell":
         rows[3] = "0.1,abc,0.5"
     elif case == "non_numeric_s":
