@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -63,6 +64,9 @@ __all__ = [
 ]
 
 _FMT = "%.17g"  # full double precision for all emitted numbers
+_DECIMAL = r"-?\d+(?:\.\d+)?(?:e[+-]\d+)?"  # every form _FMT writes for a finite double
+# a snapshot row s,x,y; float() alone would also take nan, inf, 0_5, +0.5 and padded cells
+_SNAPSHOT_ROW = re.compile(rf"{_DECIMAL},({_DECIMAL}),({_DECIMAL})", re.ASCII)
 
 # Fixed bounds on the cost of one run: the pair kernel is O(grid_n^2) per
 # step, and the field lattice costs nx*ny times N (times up to 64 near the
@@ -369,13 +373,10 @@ def read_snapshot(path: Path) -> CurveState:
         raise ConfigError(f"{path}: expected {n} sample rows, found {len(lines) - 1}")
     vals = np.empty((n, 2))
     for j, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"{path}: malformed row {j}: {line!r}")
-        try:
-            vals[j] = [float(p) for p in parts][1:]  # s is checked, not used: the grid is uniform
-        except ValueError:
-            raise ConfigError(f"{path}: non-numeric sample in row {j}: {line!r}") from None
+        row = _SNAPSHOT_ROW.fullmatch(line)  # s is checked, not used: the grid is uniform
+        if row is None:
+            raise ConfigError(f"{path}: row {j} is not three plain decimal cells: {line!r}")
+        vals[j] = float(row[1]), float(row[2])
     try:
         X = CurveState(GridField(vals))  # N even and >= 8, every sample finite
     except ValueError as exc:

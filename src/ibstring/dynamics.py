@@ -8,8 +8,10 @@ remainder explicitly, X + dt phi1(-|k|dt/4) u, one spectral.semigroup_phi1 call.
 
 A run gives every stage and every diagnostics row one evaluator: the pair sum
 on the curve truncated to the fewest samples it needs, N_c, a power of two set
-by a spectral tail test (see _resolved_velocity and README), zero-padded back
-to N. It keeps the last state's velocity, which a step's first stage reuses.
+by a spectral tail test on the state alone (see _resolved_velocity and
+README), zero-padded back to N. A run restarted from any of its states thus
+reproduces it bitwise. The evaluator keeps the last state's velocity, which a
+step's first stage reuses.
 """
 
 from __future__ import annotations
@@ -193,38 +195,28 @@ def diagnostics_row(t: float, X: CurveState, u: GridField) -> DiagnosticsRow:
 _MIN_SAMPLES = 16
 
 
-def _resolved_velocity(X: CurveState, start: int) -> tuple[GridField, int]:
-    """on_curve_velocity on the fewest samples X needs, and the next start.
+def _resolved_velocity(X: CurveState) -> GridField:
+    """on_curve_velocity on the fewest samples X needs, zero-padded back to N.
 
-    Walks N_c up from start (a power of two) until both the curve and the
-    velocity pass spectral.resolved_band's tail test on N_c samples, against
-    the curve's bound: no Fourier mode above N_c/4 exceeds 1e-13 times the
-    curve's largest k != 0 mode. The velocity is then on_curve_velocity
-    of X truncated to N_c samples, zero-padded back to N. When no power of
-    two below N passes, it is on_curve_velocity(X) itself. When the first
-    level tried passes and the same spectra pass the test one level down,
-    the next walk starts there, so N_c falls as a curve relaxes without a
-    second evaluation per step.
+    N_c starts at the curve's floor, the smallest power of two that is at
+    least _MIN_SAMPLES and at least 4k, k the curve's band by
+    spectral.resolved_band. It doubles until the velocity passes the same
+    tail test on N_c samples, against the curve's bound: no Fourier mode
+    above N_c/4 exceeds 1e-13 times the curve's largest k != 0 mode. When no
+    power of two below N passes, it is on_curve_velocity(X) itself. The walk
+    reads X alone, so a state's velocity does not depend on the run that
+    reached it.
     """
-    n = X.n
     k_curve, bound = resolved_band(X.x)
-    n_c = max(start, _MIN_SAMPLES)
+    n_c = _MIN_SAMPLES
     while n_c < 4 * k_curve:
         n_c *= 2
-    first = n_c
-    while n_c < n:
+    while n_c < X.n:
         u = on_curve_velocity(CurveState(GridField(resample(X.x, n_c))))
-        k = max(k_curve, resolved_band(u, bound)[0])
-        if 4 * k <= n_c:
-            break
+        if 4 * resolved_band(u, bound)[0] <= n_c:
+            return GridField(resample(u, X.n))
         n_c *= 2
-    else:
-        n_c, u = n, on_curve_velocity(X)
-        k = max(k_curve, resolved_band(u, bound)[0])
-    lower = n_c // 2 if n_c < n else 1 << ((n - 1).bit_length() - 1)
-    if n_c == first and lower >= _MIN_SAMPLES and 4 * k <= lower:
-        n_c = lower
-    return (u if u.n == n else GridField(resample(u, n))), n_c
+    return on_curve_velocity(X)
 
 
 def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
@@ -237,13 +229,12 @@ def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
     n_steps = round(cfg.t_end / cfg.dt)  # a positive integer, by StepperConfig
     threshold = cfg.lambda_abort  # None until row 0 gives half its well-stretched constant
     filtering = cfg.dealias_active()
-    n_c, last = _MIN_SAMPLES, (None, None)  # where the next walk starts; the last state and its velocity
+    last = (None, None)  # the last state and its velocity
 
     def velocity(X: CurveState) -> GridField:
-        nonlocal n_c, last
+        nonlocal last
         if last[0] is not X:
-            u, n_c = _resolved_velocity(X, n_c)
-            last = (X, u)
+            last = (X, _resolved_velocity(X))
         return last[1]
 
     def observe(t: float, X: CurveState) -> None:

@@ -128,6 +128,15 @@ class TestFileFormats:
         back = read_snapshot(path)
         assert np.array_equal(back.x.values, X.x.values)  # 17 digits round-trips doubles
 
+    @pytest.mark.parametrize("radius", [1e20, 1e-20])
+    def test_snapshot_exponent_cells_round_trip(self, tmp_path, radius):
+        # %.17g writes the sample at s = 0 as 1e+20 and 9.9999999999999995e-21
+        X = make_circle(64, radius)
+        path = tmp_path / "snap.csv"
+        write_snapshot(path, X)
+        assert f"\n0,{radius:.17g},0\n" in path.read_text()
+        assert np.array_equal(read_snapshot(path).x.values, X.x.values)
+
     def test_snapshot_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("garbage\n1,2,3\n")
@@ -313,6 +322,14 @@ def bad_snapshot_text(case: str) -> str:
         rows[3] = "abc,1,0"
     elif case == "non_finite_sample":
         rows[3] = "0.1,nan,0.5"
+    # float() reads the cells below, which the v1 format never writes
+    s3, x3, y3 = rows[3].split(",")
+    rows[3] = {
+        "nan_s": f"nan,{x3},{y3}",
+        "underscore_cell": f"{s3},{x3},{y3[:3]}_{y3[3:]}",
+        "padded_cell": f"{s3}, {x3},{y3}",
+        "plus_cell": f"{s3},{x3},+{y3}",
+    }.get(case, rows[3])
     return f"# ibstring-curve v1 N={header}\n" + "\n".join(rows) + "\n"
 
 
@@ -322,6 +339,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("case", [
         "header_not_integer", "header_underscore", "header_space", "header_plus",
         "non_numeric_cell", "non_numeric_s", "non_finite_sample", "odd_n",
+        "nan_s", "underscore_cell", "padded_cell", "plus_cell",
     ])
     def test_bad_snapshot_exit_2(self, tmp_path, case):
         snap = tmp_path / "bad.csv"
@@ -664,7 +682,7 @@ def test_fuzzed_inputs_never_raise(tmp_path, monkeypatch, capsys):
 def test_simulate_twice_byte_identical(tmp_path, scheme):
     """Identical config and build give byte-identical output files. At
     N = 128 this curve's velocity is resolved on 64 samples, so RK4's
-    resolution walk carries across its stages below N."""
+    stages run the resolved pair sum below N."""
     outputs = []
     for name in ("a", "b"):
         cfg_path = tmp_path / f"{name}.json"

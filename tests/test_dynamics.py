@@ -363,7 +363,7 @@ class TestResolvedVelocity:
     @pytest.mark.parametrize("n, amp", [(256, 0.01), (1024, 0.01), (1024, 0.05)])
     def test_matches_full_velocity_below_quarter(self, rng, sizes, n, amp):
         X = random_smooth_curve(rng, n=n, amp=amp)
-        u, _ = dynamics._resolved_velocity(X, 16)
+        u = dynamics._resolved_velocity(X)
         n_c = sizes[-1]
         assert n_c < n
         gap = mode_amplitudes(GridField(u.values - on_curve_velocity(X).values))
@@ -379,34 +379,37 @@ class TestResolvedVelocity:
             for k in range(2, n // 6 + 1)
         ]
         X = make_perturbed_circle(n, 1.0, modes)
-        u, start = dynamics._resolved_velocity(X, 16)
-        assert sizes == [n] and start == n
+        u = dynamics._resolved_velocity(X)
+        assert sizes == [n]
         assert np.array_equal(u.values, on_curve_velocity(X).values)
 
     def test_near_contact_makes_n_c_grow(self, sizes):
         chosen = []
         for neck in (1.0, 0.3, 0.1):
-            dynamics._resolved_velocity(near_contact_curve(512, neck), 16)
+            dynamics._resolved_velocity(near_contact_curve(512, neck))
             chosen.append(sizes[-1])
         assert chosen == [128, 256, 512]
 
-    def test_run_carries_n_c_between_steps(self, sizes, monkeypatch):
-        # the first step walks 16 -> 256; the other ten start at 256 and
-        # evaluate once
-        starts = []
-        resolved = dynamics._resolved_velocity
-
-        def recorded(X, start):
-            starts.append(start)
-            return resolved(X, start)
-
-        monkeypatch.setattr(dynamics, "_resolved_velocity", recorded)
+    def test_run_walks_each_state_from_its_own_floor(self, sizes):
+        # the initial curve's floor is 16 and its walk goes 16 -> 256; every
+        # later state's band already puts its floor at 256, which passes, so
+        # each of them makes one pair sum
         run(near_contact_curve(512, 0.3), StepperConfig(dt=1e-2, t_end=0.1, dealias_enabled=False))
         assert sizes == [16, 32, 64, 128] + [256] * 11
-        assert starts == [16] + [256] * 10
+
+    def test_restart_from_a_state_reproduces_the_run(self):
+        # a state's velocity depends on the state alone; step 174 of this
+        # run is a state where a walk started from the previous state's N_c
+        # picks another N_c than one from the state's own floor
+        X0 = make_reparam_circle(64, 1.0, 0.3)
+        cfg = dict(scheme="exp_euler", dt=1e-2, dealias_enabled=True, snapshot_every=10_000)
+        whole = run(X0, StepperConfig(t_end=1.75, **cfg)).final
+        head = run(X0, StepperConfig(t_end=1.74, **cfg)).final
+        tail = run(head, StepperConfig(t_end=1e-2, **cfg)).final
+        assert np.array_equal(tail.x.values, whole.x.values)
 
     def test_rk4_stages_take_the_resolved_velocity(self, sizes):
-        # every RK4 stage of a run evaluates on the run's walk, so a curve
+        # every RK4 stage of a run takes the resolved velocity, so a curve
         # resolved below N makes no pair sum at N; the final state stays within
         # 4.4e-16 to 5.6e-16 of full-N stages (relax curves of seeds 1-3 at
         # N = 512 and 1024)
@@ -423,9 +426,10 @@ class TestResolvedVelocity:
         X = random_smooth_curve(rng, n=1024, amp=0.05)
         c, s = np.cos(0.7), np.sin(0.7)
         moved = [X.x.values + np.array([3.0, -2.0]), X.x.values @ np.array([[c, s], [-s, c]])]
-        chosen = []
+        walks = []
         for v in [X.x.values] + moved:
-            _, start = dynamics._resolved_velocity(CurveState(GridField(v)), 16)
-            chosen.append((sizes[-1], start))
-        assert chosen[0][0] < 1024
-        assert chosen[1] == chosen[0] and chosen[2] == chosen[0]
+            done = len(sizes)
+            dynamics._resolved_velocity(CurveState(GridField(v)))
+            walks.append(sizes[done:])
+        assert walks[0][-1] < 1024
+        assert walks[1] == walks[0] and walks[2] == walks[0]
