@@ -69,8 +69,8 @@ _DECIMAL = r"-?\d+(?:\.\d+)?(?:e[+-]\d+)?"  # every form _FMT writes for a finit
 _SNAPSHOT_ROW = re.compile(rf"{_DECIMAL},({_DECIMAL}),({_DECIMAL})", re.ASCII)
 
 # Fixed bounds on the cost of one run: the pair kernel is O(grid_n^2) per
-# step, and the field lattice costs nx*ny times N (times up to 64 near the
-# curve). A snapshot's N is held to the grid_n bound as well.
+# step, and the field lattice costs nx*ny times N, plus one N x N pass at
+# most. A snapshot's N is held to the grid_n bound as well.
 MAX_GRID_N = 8192
 MAX_FIELD_POINTS = 250_000
 # `field` holds the lattice bounds and the snapshot's samples within 1e75 in
@@ -426,9 +426,12 @@ def write_field_csv(path: Path, X: CurveState, grid: FieldGrid) -> None:
     ys = np.linspace(grid.ymin, grid.ymax, grid.ny)
     points = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
     u, p = sample_flow(X, points)
+    # meshgrid copies the axis values exactly, so each is formatted once
+    x_cells, y_cells = ([_FMT % v for v in axis.tolist()] for axis in (xs, ys))
+    xy = [f"{x},{y}," for y in y_cells for x in x_cells]
+    row = ",".join([_FMT] * 3)  # one % per row
     lines = ["x,y,u,v,p"]
-    row = ",".join([_FMT] * 5)  # one % per row
-    lines.extend(row % tuple(r) for r in np.column_stack([points, u, p]).tolist())
+    lines.extend(a + row % tuple(r) for a, r in zip(xy, np.column_stack([u, p]).tolist()))
     path.write_text("\n".join(lines) + "\n")
 
 

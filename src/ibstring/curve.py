@@ -83,12 +83,13 @@ class CurveState:
         return self.x.s
 
     def resampled(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Samples (X, X') of the band-limited curve on m points, each (m, 2),
-        memoized by m.
+        """Samples (X, X') of the band-limited curve truncated to m <= N
+        points, each (m, 2), memoized by m (m = N gives the samples
+        themselves).
 
-        Zero-padding (m > N) is exact for the curve the samples define;
-        truncation (m < N) drops the modes above m/2, so callers keep it to
-        curves whose dropped modes are rounding-level (spectral.resolved_band).
+        Truncation drops the modes above m/2, so callers keep it to curves
+        whose dropped modes are rounding-level (spectral.resolved_band), as
+        both off-curve evaluators of stokeslet.sample_flow do.
         """
         cached = self._resampled.get(m)
         if cached is None:

@@ -8,12 +8,12 @@ their pair matrices; the public functions sum those rows.
 
 All on-curve integrals use the periodic trapezoid rule with the analytic
 removable-singularity limit substituted on the diagonal (no point exclusion).
-Off-curve velocity and pressure come from one batched evaluator over point
-blocks, written in complex variables as Cauchy sums over the samples times
-point-only factors. Each point takes the sample count its distance needs:
-points near the curve refine the quadrature on a band-limited upsampling of
-the same curve, far points evaluate it on a truncation; see README for the
-accuracy envelope.
+Off-curve velocity and pressure are batched over point blocks and written
+in complex variables as Cauchy sums over the samples. A point far enough
+from the curve takes the trapezoid rule on a truncation of the curve (the
+far rule); every other point, however near, takes compensated (barycentric)
+Cauchy quadrature on the curve truncated to its resolved band, which stays
+at rounding level up to the curve; see README for the accuracy envelope.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .curve import (
     _torus_offsets,
     _workspace,
 )
-from .spectral import GridField, fractional_laplacian_half, resolved_band, to_spectral
+from .spectral import GridField, fractional_laplacian_half, resample, resolved_band, to_spectral
 
 __all__ = [
     "OnCurvePointError",
@@ -132,45 +132,35 @@ def _row_sums(A: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-# The rules of _sample_counts. With a strip of 48/M, truncated rows stayed
+# The far rule of _sample_counts. With a strip of 48/M, truncated rows stayed
 # within 2.3e-15 max(1, |row|) of the full-N rows on eight test curves, with
 # 32/M up to 1e-12 (see README).
-_NEAR_SPACINGS = 5.0
-_NEAR_SAMPLE_DIST = 32.0
-_MAX_FACTOR = 64
 _FAR_STRIP = 48.0
 
 
-def _sample_counts(X: CurveState, dist: np.ndarray, speed: np.ndarray) -> np.ndarray:
-    """Samples M of the trapezoid rule at each point: dist is the point's
-    distance to its nearest sample and speed |X'| there.
+def _sample_counts(X: CurveState, dist: np.ndarray, band: int, coef: np.ndarray) -> np.ndarray:
+    """Samples M of the truncated trapezoid rule at each point, N where the
+    rule cannot truncate: dist is the point's distance to its nearest sample,
+    band the curve's resolved band K and coef the Fourier coefficients c_k of
+    X_1 + i X_2.
 
-    A near point (dist < 5h speed) takes M = f N, the smallest power-of-two
-    f <= 64 with M dist >= 32 speed, on the zero-padded curve. A far point
-    z takes the fewest power-of-two M below N that passes the curve's tail
-    test (4K <= M, K from spectral.resolved_band, so that the truncation
+    A point z takes the fewest power-of-two M below N that passes the curve's
+    tail test (4K <= M, K from spectral.resolved_band, so that the truncation
     drops only rounding-level modes) and dist >= F(48/M), with
-    F(sigma) = sum over 0 < |k| <= K of |c_k| (e^{|k| sigma} - 1) and c_k
-    the Fourier coefficients of X_1 + i X_2. F(sigma) bounds how far the
-    band-limited curve moves from a real s to s + i sigma, so no pole of
-    the integrand, where X(s) = z, lies in the strip |Im s| < 48/M, and the
-    rule's error there decays like e^{-48} (Trefethen & Weideman, SIAM
-    Review 56, 2014); it takes N when no M passes. Both rules compare
-    scaled lengths only, so a dilation of the curve and the points by a
-    power of two keeps every count.
+    F(sigma) = sum over 0 < |k| <= K of |c_k| (e^{|k| sigma} - 1). F(sigma)
+    bounds how far the band-limited curve moves from a real s to s + i sigma,
+    so no pole of the integrand, where X(s) = z, lies in the strip
+    |Im s| < 48/M, and the rule's error there decays like e^{-48} (Trefethen
+    & Weideman, SIAM Review 56, 2014). Since F(sigma) >= sigma max|X'|, no
+    point nearer than 96 max|X'|/N passes. The rule compares scaled lengths
+    only, so a dilation of the curve and the points by a power of two keeps
+    every count.
     """
     n = X.n
     count = np.full(len(dist), n, dtype=np.int64)
-    near = dist < _NEAR_SPACINGS * X.h * speed
-    grow = near
-    while (grow := grow & (count < _MAX_FACTOR * n) & (count * dist < _NEAR_SAMPLE_DIST * speed)).any():
-        count[grow] *= 2
-    band = resolved_band(X.x)[0]
-    c = to_spectral(X.x)
-    c = c[:, 0] + 1j * c[:, 1]
-    amp = np.abs(np.concatenate([c[1:band + 1], c[n - band:]]))
+    amp = np.abs(np.concatenate([coef[1:band + 1], coef[n - band:]]))
     k = np.concatenate([np.arange(1, band + 1), np.arange(band, 0, -1)])
-    fits = ~near
+    fits = np.ones(len(dist), dtype=bool)
     m = 1 << ((n - 1).bit_length() - 1)  # the largest power of two below N
     while m >= max(4 * band, 2) and (fits := fits & (dist >= np.sum(amp * np.expm1(k * (_FAR_STRIP / m))))).any():
         count[fits] = m
@@ -178,23 +168,162 @@ def _sample_counts(X: CurveState, dist: np.ndarray, speed: np.ndarray) -> np.nda
     return count
 
 
+def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den for complex (P,) arrays in real arithmetic: numpy may round a
+    complex operation on a one-element array differently from a longer one."""
+    scale = den.real * den.real + den.imag * den.imag
+    out = np.empty(len(num), dtype=complex)
+    out.real = (num.real * den.real + num.imag * den.imag) / scale
+    out.imag = (num.imag * den.real - num.real * den.imag) / scale
+    return out
+
+
+def _boundary_values(zeta: np.ndarray, a: np.ndarray, g: np.ndarray, g_prime: np.ndarray) -> np.ndarray:
+    """(M, 2) exterior boundary values Phi^- = I/(2pi i) of the Cauchy
+    integrals of the two densities g[:, k] on the M samples zeta, with
+    a = X' there and g_prime = g'.
+
+    I_j = h [sum over k != j of (g_k - g_j) a_k/(zeta_k - zeta_j) + g'_j] is
+    the trapezoid rule of the integral of (g - g_j)/(zeta - zeta_j) dzeta,
+    whose integrand is smooth with the limit g'_j on the diagonal. Each row
+    block's sums are per-row products of C = a_k/(zeta_k - zeta_j) (zero on
+    the diagonal) with [g, 1], through _row_sums.
+    """
+    m = len(zeta)
+    q = np.column_stack([g, np.ones(m)])
+    out = np.empty((m, 2), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // m)
+    work = np.empty((min(step, m), m), dtype=complex)
+    for lo in range(0, m, step):
+        rows = np.arange(lo, min(lo + step, m))
+        C = work[: len(rows)]
+        C[:] = zeta
+        C -= zeta[rows, None]
+        C[np.arange(len(rows)), rows] = np.inf  # a/inf = 0 on the diagonal
+        np.divide(a, C, out=C)
+        s = _row_sums(C, q)
+        out[rows] = s[:, :2] - g[rows] * s[:, 2:] + g_prime[rows]
+    return out * ((2.0 * np.pi / m) / (2j * np.pi))
+
+
+# Newton steps to the foot point in _inside, each quadratic from an error of
+# about one sample spacing.
+_NEWTON_STEPS = 3
+
+
+def _inside(X: CurveState, z: np.ndarray, nearest: np.ndarray, dist: np.ndarray, band: int,
+            coef: np.ndarray, orientation: float) -> np.ndarray:
+    """Whether each point z lies in the bounded region of the curve.
+
+    The side is the sign of (z - zeta) x X' at the point's nearest sample.
+    Within h|X'| of the curve, the sample is first moved to the foot point
+    of z on the band-limited curve (modes |k| <= K) by Newton steps on
+    (X(s) - z) . X'(s) = 0 from the sample's s; there the nearest sample's
+    tangent line can lie on the other side of z. orientation is +1 for a
+    counterclockwise curve, whose bounded region lies to the left of X'.
+    """
+    zeta, b = _complex(X.x.values)[nearest], _complex(X.xp.values)[nearest]
+    close = np.flatnonzero(dist < X.h * np.abs(b))
+    if close.size:
+        k = np.arange(-min(band, X.n // 2 - 1), min(band, X.n // 2 - 1) + 1)
+        c = coef[k]
+        q = np.stack([c, 1j * k * c, -(k * k) * c]).T  # X, X', X'' from e^{iks}
+        s, zc = X.s[nearest[close]], z[close]
+        for step in range(_NEWTON_STEPS + 1):
+            xi, dxi, ddxi = _row_sums(np.exp(1j * np.outer(s, k)), q).T
+            if step < _NEWTON_STEPS:
+                r = xi - zc
+                slope = dxi.real * dxi.real + dxi.imag * dxi.imag + r.real * ddxi.real + r.imag * ddxi.imag
+                s = s - (r.real * dxi.real + r.imag * dxi.imag) / slope
+        zeta[close], b[close] = xi, dxi
+    r = z - zeta
+    return orientation * (r.real * b.imag - r.imag * b.real) < 0.0
+
+
+def _cauchy_flow(X: CurveState, z: np.ndarray, nearest: np.ndarray, dist: np.ndarray, band: int,
+                 coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity (P, 2) and pressure (P,) at P off-curve points z by
+    compensated (barycentric) Cauchy quadrature on the curve truncated to
+    M_c samples (Helsing & Ojala, J. Comput. Phys. 227, 2008; Barnett, Wu &
+    Veerapaneni, SIAM J. Sci. Comput. 37, 2015).
+
+    With zeta = X(s), a = X'(s) and Phi_g(z) = (1/2pi i) integral of
+    g/(zeta - z) dzeta, the Stokeslet integral of the string force is
+        u_x + i u_y = (i/4) (Phi_a - conj(Phi'_{gb} - conj(z - c) Phi'_a)),
+        p = Im Phi'_a,
+    for gb = conj(zeta - c) a and c the curve's mean. M_c is the smallest
+    power of two that is at least 16 and 8K, at most N: the densities a and
+    gb have band 2K, so M_c passes the tail test on them. The boundary
+    values Phi^- come from _boundary_values once per call, and Phi^+ =
+    Phi^- + o g inside, o = 1 for a counterclockwise curve and -1 for a
+    clockwise one (the sign of its enclosed area). With w = h a, a point
+    takes Phi = sum Phi^+-_k w_k/(zeta_k - z) / den and
+    Phi' = sum (Phi^+-_k - Phi) w_k/(zeta_k - z)^2 / den, den the sum of
+    w_k/(zeta_k - z), less o 2pi i outside. Numerator and denominator carry
+    the same quadrature error near the curve, so the quotient stays at
+    rounding level at any distance. Each sum is one BLAS product per point
+    (_row_sums), and the point-only arithmetic is real, so a row is bitwise
+    the same in any block.
+    """
+    m = min(X.n, max(16, 1 << (8 * band - 1).bit_length()))
+    xs, xps = X.resampled(m)
+    zeta, a, app = _complex(xs), _complex(xps), _complex(resample(X.xpp, m))
+    center = np.mean(zeta)
+    w = (2.0 * np.pi / m) * a
+    arm = np.conjugate(zeta - center)
+    g = np.stack([a, arm * a]).T  # the densities a and gb
+    g_prime = np.stack([app, a.real * a.real + a.imag * a.imag + arm * app]).T
+    outer = _boundary_values(zeta, a, g, g_prime)
+    v, t = _complex(X.x.values), _complex(X.xp.values)
+    orientation = 1.0 if np.sum(v.real * t.imag - v.imag * t.real) >= 0.0 else -1.0
+    inside = _inside(X, z, nearest, dist, band, coef, orientation)
+
+    u, p = np.empty((len(z), 2)), np.empty(len(z))
+    step = max(1, _BLOCK_ENTRIES // m)
+    work = np.empty((4, min(step, len(z)), m), dtype=complex)
+    for side, phi, shift in ((inside, outer + orientation * g, 0.0), (~inside, outer, orientation * 2.0 * np.pi)):
+        q = np.column_stack([w, phi * w[:, None]])  # (M, 3): den and the two numerators of Phi
+        group = np.flatnonzero(side)
+        for lo in range(0, len(group), step):
+            idx = group[lo:lo + step]
+            W, R, Ea, Eb = work[:, : len(idx)]
+            W[:] = zeta
+            W -= z[idx, None]
+            np.divide(1.0, W, out=R)
+            den, na, nb = _row_sums(R, q).T
+            den.imag -= shift
+            fa, fb = _quotient(na, den), _quotient(nb, den)
+            np.square(R, out=R)
+            np.subtract(phi[:, 0], fa[:, None], out=Ea)
+            np.subtract(phi[:, 1], fb[:, None], out=Eb)
+            Eb -= np.multiply(np.conjugate(z[idx] - center)[:, None], Ea, out=W)
+            Ea *= R
+            Eb *= R
+            da = _quotient(_row_sums(Ea, w[:, None])[:, 0], den)
+            dG = _quotient(_row_sums(Eb, w[:, None])[:, 0], den)
+            u[idx, 0], u[idx, 1] = -0.25 * (fa.imag + dG.imag), 0.25 * (fa.real - dG.real)
+            p[idx] = da.imag
+    return u, p
+
+
 def sample_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Velocity (P, 2) and pressure (P,) at P points; NaN rows on the curve.
 
-    Velocity: trapezoid of -d/ds'[G(x - X(s'))](X'(s') - X'(s_x)), s_x the
-    nearest sample (the constant X'(s_x) only conditions the quadrature).
-    Pressure: (1/2pi) * integral of |X'|^2/|X-x|^2 - 2((X-x).X')^2/|X-x|^4,
-    zero-constant gauge. The rule converges geometrically in M times the
-    width of the strip of analyticity of the integrand, about dist/|X'(s_x)|
-    near the curve, so each point takes the sample count M of
-    _sample_counts: points within 5h |X'(s_x)| of the curve on a zero-padded
-    FFT refinement (M up to 64 N), far points on a truncated curve (M down
-    to the curve's resolved band). Both are spectral.resample of the
-    band-limited curve, memoized on X by sample count.
+    Each point is evaluated by one of two rules. A point far enough from the
+    curve for _sample_counts to truncate it (M < N samples, the far rule)
+    takes the trapezoid rule on the truncated curve:
+    velocity, the trapezoid of -d/ds'[G(x - X(s'))](X'(s') - X'(s_x)), s_x
+    the nearest sample (the constant X'(s_x) only conditions the quadrature);
+    pressure, (1/2pi) * integral of |X'|^2/|X-x|^2 - 2((X-x).X')^2/|X-x|^4,
+    zero-constant gauge. Every other point, however near the curve, goes to
+    the compensated Cauchy evaluator _cauchy_flow, on the curve truncated to
+    M_c samples. Both use spectral.resample of the band-limited curve,
+    memoized on X by sample count.
 
     In complex variables, with z the point, zeta = X(s'), a = X'(s'),
-    b = X'(s_x), W = zeta - z, R = 1/W and Q = conj(W)/W^2, both integrands
-    are Cauchy sums times point-only factors (the |a|^2 terms cancel):
+    b = X'(s_x), W = zeta - z, R = 1/W and Q = conj(W)/W^2, the far rule's
+    integrands are Cauchy sums times point-only factors (the |a|^2 terms
+    cancel):
         4pi (u_x + i u_y) = (h/2)[S(R a^2) - 2b Re S(R a) + conj(b S(R conj a)
                                   + S(Q a^2) - b S(Q a))],
         p = -(h/2pi) Re S(R^2 a^2),
@@ -223,14 +352,17 @@ def sample_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
         nearest[lo:lo + step], d2[lo:lo + step] = j, sx[np.arange(len(j)), j]
     del work
     dist = np.sqrt(d2)
+    band = resolved_band(X.x)[0]
+    c = to_spectral(X.x)
+    coef = c[:, 0] + 1j * c[:, 1]
+    count = _sample_counts(X, dist, band, coef)
     tx, ty = X.xp.values[:, 0], X.xp.values[:, 1]
-    count = _sample_counts(X, dist, np.sqrt(tx * tx + ty * ty)[nearest])
 
     u, p = np.full((len(points), 2), np.nan), np.full(len(points), np.nan)
     z = _complex(points)
     off = dist > 0.0
     # largest count first, while the fewest resamplings are cached on X
-    for m in np.unique(count[off])[::-1].tolist():
+    for m in np.unique(count[off & (count < X.n)])[::-1].tolist():
         xs, xps = X.resampled(m)
         h = 2.0 * np.pi / m
         zeta, a = _complex(xs), _complex(xps)
@@ -257,6 +389,9 @@ def sample_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
             u[idx, 0], u[idx, 1] = h * ux / (2.0 * _FOUR_PI), h * uy / (2.0 * _FOUR_PI)
             p[idx] = -h * s_p.real / (2.0 * np.pi)
         del weights, work
+    rest = np.flatnonzero(off & (count == X.n))
+    if rest.size:
+        u[rest], p[rest] = _cauchy_flow(X, z[rest], nearest[rest], dist[rest], band, coef)
     return u, p
 
 
