@@ -17,6 +17,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, NoReturn, Sequence
 
@@ -343,11 +344,17 @@ def build_initial(cfg: RunConfig) -> CurveState:
 # file formats
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4)
+def _snapshot_template(n: int) -> str:
+    """A v1 snapshot's text at N with its s cells (s = GridField.s) filled in
+    and a %-slot for each x and y: s is the same for every state at one N,
+    so it is formatted once per N, not once per snapshot."""
+    rows = (f"{_FMT % s},{_FMT},{_FMT}" for s in (2.0 * np.pi * np.arange(n) / n).tolist())
+    return "\n".join([f"# ibstring-curve v1 N={n}", *rows]) + "\n"
+
+
 def write_snapshot(path: Path, X: CurveState) -> None:
-    lines = [f"# ibstring-curve v1 N={X.n}"]
-    row = ",".join([_FMT] * 3)  # one % per row
-    lines.extend(row % tuple(r) for r in np.column_stack([X.s, X.x.values]).tolist())
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(_snapshot_template(X.n) % tuple(X.x.values.ravel().tolist()))
 
 
 def _read_text(path: Path) -> str:

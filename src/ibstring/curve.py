@@ -120,20 +120,22 @@ def _toeplitz_rows(table: np.ndarray) -> np.ndarray:
     return sliding_window_view(table, (len(table) + 1) // 2)[::-1]
 
 
-def _row_blocks(n: int):
-    """Yield (rows, diag, tau, inv_tau) for each row block of the pair matrices.
-
-    diag indexes the block's diagonal entries; inv_tau is 0 there. Both
-    matrices are windows on one table of torus offsets (_toeplitz_rows).
-    """
+def _offset_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, N) Toeplitz views (_toeplitz_rows) of the torus offset tau of every
+    pair and of 1/tau, which is 0 on the diagonal."""
     tau = _torus_offsets(n)
     inv = np.zeros_like(tau)
     np.divide(1.0, tau, out=inv, where=tau != 0.0)
-    tau_rows, inv_rows = _toeplitz_rows(tau), _toeplitz_rows(inv)
+    return _toeplitz_rows(tau), _toeplitz_rows(inv)
+
+
+def _row_blocks(n: int):
+    """Yield (rows, diag) for each row block of the pair matrices; diag
+    indexes the block's diagonal entries."""
     for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, min(start + _BLOCK_ROWS, n))
         cols = np.arange(rows.start, rows.stop)
-        yield rows, (cols - start, cols), tau_rows[rows], inv_rows[rows]
+        yield rows, (cols - start, cols)
 
 
 def _workspace(k: int, n: int) -> np.ndarray:
@@ -145,16 +147,16 @@ def _workspace(k: int, n: int) -> np.ndarray:
 def _pair_blocks(X: CurveState) -> Iterator[tuple]:
     """Row blocks of the chords w = X(s') - X(s), d = X'(s') - X'(s) and |w|^2.
 
-    Yields (rows, diag, wx, wy, dx, dy, w2, tau, inv_tau) as (rows, N) arrays;
-    the next block overwrites all but tau and inv_tau (as in _row_blocks).
-    At the diagonal entries `diag` w = d = 0 and w2 = inf, so 1/|w|^2 = 0.
+    Yields (rows, diag, wx, wy, dx, dy, w2) as (rows, N) arrays, diag as in
+    _row_blocks; the next block overwrites them. At the diagonal entries
+    `diag` w = d = 0 and w2 = inf, so 1/|w|^2 = 0.
     Raises DegenerateCurveError on an off-diagonal |w|^2 <= 0 or a diagonal
     |X'|^2 <= 0.
     """
     (x, y), (ax, ay) = X.x.values.T.copy(), X.xp.values.T.copy()
     speed_sq = ax * ax + ay * ay
     work = _workspace(5, X.n)
-    for rows, diag, tau, inv_tau in _row_blocks(X.n):
+    for rows, diag in _row_blocks(X.n):
         wx, wy, dx, dy, w2 = work[:, : rows.stop - rows.start]
         for chord, c in ((wx, x), (wy, y)):
             np.subtract(c, c[rows, None], out=chord)
@@ -165,7 +167,7 @@ def _pair_blocks(X: CurveState) -> Iterator[tuple]:
         w2[diag] = np.inf
         if float(w2.min()) <= 0.0 or float(speed_sq[rows].min()) <= 0.0:
             raise DegenerateCurveError("coincident samples: curve degenerate at grid resolution")
-        yield rows, diag, wx, wy, dx, dy, w2, tau, inv_tau
+        yield rows, diag, wx, wy, dx, dy, w2
 
 
 # The well-stretched pass first evaluates every S-th torus offset, S = N/64 from

@@ -12,6 +12,11 @@ by a spectral tail test on the state alone (see _resolved_velocity and
 README), zero-padded back to N. A run restarted from any of its states thus
 reproduces it bitwise. The evaluator keeps the last state's velocity, which a
 step's first stage reuses.
+
+The truncated curve and the padded velocity are seeded fields
+(spectral.resample_field), which keep the coefficients they were built from
+as their transform; a relax_n1024 state thus costs six FFTs at N and four at
+N_c (see README).
 """
 
 from __future__ import annotations
@@ -29,8 +34,16 @@ from .curve import (
     enclosed_area,
     well_stretched_constant,
 )
-from .equilibrium import closest_equilibrium, fit_distance
-from .spectral import GridField, NonFiniteFieldError, dealias, resample, resolved_band, semigroup_phi1
+from .equilibrium import closest_equilibrium, fit_deviation
+from .spectral import (
+    GridField,
+    NonFiniteFieldError,
+    dealias,
+    resample_field,
+    resolved_band,
+    semigroup_phi1,
+    sobolev_seminorm,
+)
 from .stokeslet import dissipation_rate, on_curve_velocity
 
 __all__ = [
@@ -157,7 +170,9 @@ def step_rk4(
 def step_exp_euler(
     X: CurveState, dt: float, velocity: Callable[[CurveState], GridField] = on_curve_velocity
 ) -> CurveState:
-    """Exponential Euler step: X + dt phi1(-|k|dt/4) u, u = velocity(X), one FFT pair.
+    """Exponential Euler step: X + dt phi1(-|k|dt/4) u, u = velocity(X): one
+    FFT pair, or one inverse FFT when u carries its transform (a run's
+    velocity padded back from N_c).
 
     This is e^{-|k|dt/4} x_hat + dt phi1(-|k|dt/4) g_hat with g the nonstiff
     forcing, since e^z - z phi1(z) = 1; the k = 0 mode reduces to an explicit
@@ -176,6 +191,7 @@ SCHEMES = {"rk4": step_rk4, "exp_euler": step_exp_euler}
 def diagnostics_row(t: float, X: CurveState, u: GridField) -> DiagnosticsRow:
     """Assemble the per-step diagnostics from a state and its velocity."""
     fit = closest_equilibrium(X)
+    deviation = fit_deviation(X, fit)  # one transform for both fit distances
     return DiagnosticsRow(
         t=t,
         energy=elastic_energy(X),
@@ -183,8 +199,8 @@ def diagnostics_row(t: float, X: CurveState, u: GridField) -> DiagnosticsRow:
         well_stretched=well_stretched_constant(X),
         radius=fit.radius,
         area=enclosed_area(X),
-        dist_h1=fit_distance(X, fit, 1.0),
-        dist_h52=fit_distance(X, fit, 2.5),
+        dist_h1=sobolev_seminorm(deviation, 1.0),
+        dist_h52=sobolev_seminorm(deviation, 2.5),
         theta_star=float("nan") if fit.degenerate else fit.theta_star,
         xstar_x=float(fit.x_star[0]),
         xstar_y=float(fit.x_star[1]),
@@ -212,9 +228,9 @@ def _resolved_velocity(X: CurveState) -> GridField:
     while n_c < 4 * k_curve:
         n_c *= 2
     while n_c < X.n:
-        u = on_curve_velocity(CurveState(GridField(resample(X.x, n_c))))
+        u = on_curve_velocity(CurveState(resample_field(X.x, n_c)))
         if 4 * resolved_band(u, bound)[0] <= n_c:
-            return GridField(resample(u, X.n))
+            return resample_field(u, X.n)
         n_c *= 2
     return on_curve_velocity(X)
 

@@ -27,6 +27,7 @@ __all__ = [
     "linearized_velocity",
     "mode_block",
     "measure_decay_rate",
+    "fit_deviation",
     "fit_distance",
 ]
 
@@ -92,9 +93,14 @@ def h1_energy_equivalence(Y: CurveState) -> tuple[float, float, float]:
     return 0.5 * excess, dist_sq, 4.0 * excess
 
 
+def fit_deviation(Y: CurveState, fit: EquilibriumFit) -> GridField:
+    """Y - Y*, the field whose seminorms are the fit distances."""
+    return GridField(Y.x.values - fit.x_star_samples.values)
+
+
 def fit_distance(Y: CurveState, fit: EquilibriumFit, order: float) -> float:
     """Homogeneous Sobolev distance between Y and its fitted equilibrium."""
-    return sobolev_seminorm(GridField(Y.x.values - fit.x_star_samples.values), order)
+    return sobolev_seminorm(fit_deviation(Y, fit), order)
 
 
 def linearized_velocity(D: GridField) -> GridField:

@@ -7,11 +7,19 @@ All multiplier operators act mode by mode; the k = -N/2 (Nyquist) coefficient
 is zeroed by operators whose multiplier would make it imaginary (Hilbert
 transform, odd-order derivatives), so operator identities hold exactly on
 fields band-limited below Nyquist.
+
+Every operator reads a field's transform from its memo, GridField.spectrum,
+so each field is transformed at most once. A field built from samples
+computes the memo on first read. A field built from coefficients
+(resample_field) is seeded with them: its memo is the cut or zero-padded
+transform of its source, made Hermitian, which equals fft(values) up to
+rounding. Only this module sets the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,6 +35,7 @@ __all__ = [
     "semigroup_phi1",
     "sobolev_seminorm",
     "resample",
+    "resample_field",
     "mode_amplitudes",
     "resolved_band",
     "dealias",
@@ -43,7 +52,8 @@ class GridField:
     """N uniform samples of a real 2-vector field on the torus.
 
     values has shape (N, 2); N must be even and at least 8, entries finite.
-    Instances are immutable (the underlying array is locked).
+    Instances are immutable (the underlying array is locked), and so is the
+    memo of their transform, spectrum.
     """
 
     values: np.ndarray
@@ -60,6 +70,14 @@ class GridField:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Read-only (N, 2) unscaled transform fft(values, axis=0), computed on
+        first read; a field from resample_field holds its seeded coefficients."""
+        c = np.fft.fft(self.values, axis=0)
+        c.flags.writeable = False
+        return c
 
     @property
     def n(self) -> int:
@@ -80,7 +98,7 @@ def to_spectral(f: GridField) -> np.ndarray:
     """Read-only (N, 2) complex coefficients fft(values)/N, in numpy fft
     order: row k multiplies e^{iks}, so a constant field c has row 0 = c.
     Linear, and the exact inverse of from_spectral."""
-    c = np.fft.fft(f.values, axis=0) / f.n
+    c = f.spectrum / f.n
     c.flags.writeable = False
     return c
 
@@ -96,13 +114,16 @@ def mean(f: GridField) -> np.ndarray:
     return f.values.mean(axis=0)
 
 
+@lru_cache(maxsize=16)
 def _wavenumbers(n: int) -> np.ndarray:
-    return np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    """Read-only integer wavenumbers in fft order, shared by every operator at N."""
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    k.flags.writeable = False
+    return k
 
 
 def _apply_multiplier(f: GridField, mult: np.ndarray) -> GridField:
-    c = np.fft.fft(f.values, axis=0)
-    c *= mult[:, None]
+    c = f.spectrum * mult[:, None]
     return GridField(np.real(np.fft.ifft(c, axis=0)))
 
 
@@ -168,6 +189,22 @@ def semigroup_phi1(f: GridField, t: float) -> GridField:
     return _apply_multiplier(f, _phi1(-np.abs(k) * t / 4.0))
 
 
+def _resampled_spectrum(f: GridField, m: int) -> np.ndarray:
+    """f's transform cut or zero-padded to m modes and scaled to m samples:
+    the modes -m/2 .. m/2 - 1 for m < N, f's own modes (Nyquist at -N/2) for
+    m > N. A fresh (m, 2) array."""
+    if m < 2 or m % 2:
+        raise ValueError(f"sample count must be even and >= 2, got {m}")
+    n = f.n
+    cm = np.zeros((m, 2), dtype=complex)
+    half = min(n, m) // 2
+    cm[:half] = f.spectrum[:half]
+    cm[m - half:] = f.spectrum[n - half:]
+    cm /= n
+    cm *= m
+    return cm
+
+
 def resample(f: GridField, m: int) -> np.ndarray:
     """Read-only (m, 2) samples of the band-limited f on m points.
 
@@ -175,26 +212,44 @@ def resample(f: GridField, m: int) -> np.ndarray:
     modes -m/2 .. m/2 - 1 for m < N. m = N returns f's own values, with no
     FFT round trip.
     """
-    n = f.n
-    if m < 2 or m % 2:
-        raise ValueError(f"sample count must be even and >= 2, got {m}")
-    if m == n:
+    if m == f.n:
         return f.values
-    c = np.fft.fft(f.values, axis=0) / n
-    cm = np.zeros((m, 2), dtype=complex)
-    half = min(n, m) // 2
-    cm[:half] = c[:half]
-    cm[m - half:] = c[n - half:]
-    cm *= m
-    out = np.fft.ifft(cm, axis=0).real.copy()  # a view would pin the complex buffer
+    out = np.fft.ifft(_resampled_spectrum(f, m), axis=0).real.copy()  # a view would pin the complex buffer
     out.flags.writeable = False
+    return out
+
+
+def resample_field(f: GridField, m: int) -> GridField:
+    """f on m >= 8 samples as a field seeded with its coefficients: values
+    bitwise resample(f, m), spectrum the cut or padded transform made
+    Hermitian, so no forward FFT of the values is needed. m = N returns f.
+
+    The real part of the inverse transform keeps the Hermitian part of the
+    coefficients, so the seed is what fft(values) gives up to rounding: on
+    truncation the entry at the new Nyquist slot -m/2 keeps its real part;
+    on padding f's Nyquist coefficient is split in halves over -N/2 and N/2.
+    """
+    n = f.n
+    if m == n:
+        return f
+    cm = _resampled_spectrum(f, m)
+    values = np.fft.ifft(cm, axis=0).real
+    if m < n:
+        cm[m // 2] = cm[m // 2].real
+    else:
+        cm[m - n // 2] /= 2.0
+        cm[n // 2] = np.conj(cm[m - n // 2])
+    out = GridField(values)
+    cm.flags.writeable = False
+    out.__dict__["spectrum"] = cm  # the memo cached_property would fill
     return out
 
 
 def mode_amplitudes(f: GridField) -> np.ndarray:
     """|f_hat_k| for k = 0 .. N/2, the Euclidean norm of the 2-vector
-    coefficient, so a rotation of the field leaves it unchanged."""
-    c = np.fft.rfft(f.values, axis=0) / f.n
+    coefficient, so a rotation of the field leaves it unchanged; read from
+    the first half of f's transform."""
+    c = f.spectrum[: f.n // 2 + 1] / f.n
     return np.sqrt(np.sum(c.real**2 + c.imag**2, axis=1))
 
 
@@ -229,7 +284,7 @@ def sobolev_seminorm(f: GridField, s: float) -> float:
     """
     if s < 0:
         raise ValueError(f"order must be nonnegative, got {s}")
-    c = np.fft.fft(f.values, axis=0) / f.n
+    c = f.spectrum / f.n
     k = np.abs(_wavenumbers(f.n)).astype(float)
     weights = np.ones_like(k) if s == 0 else k**s
     total = np.sum(weights[:, None] ** 2 * np.abs(c) ** 2)
@@ -250,7 +305,7 @@ def dealias(
         raise ValueError(f"cutoff_fraction must be in (0, 1], got {cutoff_fraction}")
     if krasny_floor < 0:
         raise ValueError(f"krasny_floor must be nonnegative, got {krasny_floor}")
-    c = np.fft.fft(f.values, axis=0) / f.n
+    c = f.spectrum / f.n
     k = np.abs(_wavenumbers(f.n))
     c[k > cutoff_fraction * f.n / 2.0] = 0.0
     c[np.abs(c) < krasny_floor] = 0.0

@@ -26,6 +26,7 @@ import numpy as np
 from .curve import (
     _BLOCK_ROWS,
     CurveState,
+    _offset_rows,
     _pair_blocks,
     _row_blocks,
     _toeplitz_rows,
@@ -68,7 +69,7 @@ def _velocity_rows(X: CurveState) -> Iterator[tuple]:
     vp, vpp = X.xp.values, X.xpp.values
     ax2, ay2 = 2.0 * vp[:, 0], 2.0 * vp[:, 1]
     work = _workspace(5, X.n)
-    for rows, diag, wx, wy, dx, dy, w2, _, _ in _pair_blocks(X):
+    for rows, diag, wx, wy, dx, dy, w2 in _pair_blocks(X):
         inv, C, D, E, t = work[:, : rows.stop - rows.start]
         np.divide(1.0, w2, out=inv)  # 0 on the diagonal
         np.multiply(wx, dy, out=C)
@@ -469,13 +470,15 @@ def _forcing_derivative_rows(X: CurveState) -> Iterator[tuple]:
 
     Closed form in the quotients L = w/tau, M = d/tau of _pair_blocks' chords
     (diagonal limits X', X'') and N = (L - X'(s))/tau, with b = X'(s); its
-    continuous limit on the diagonal is zero. The tau factor depends only on
-    s' - s, so it is tabulated once per pass.
+    continuous limit on the diagonal is zero. The tau factor and 1/tau depend
+    only on s' - s, so they are tabulated once per pass.
     """
     vp, vpp = X.xp.values, X.xpp.values
     ax, ay = vp[:, 0], vp[:, 1]
     f_rows = _toeplitz_rows(_tau_factor(_torus_offsets(X.n)))
-    for rows, diag, wx, wy, dx, dy, _, _, inv_tau in _pair_blocks(X):
+    inv_rows = _offset_rows(X.n)[1]
+    for rows, diag, wx, wy, dx, dy, _ in _pair_blocks(X):
+        inv_tau = inv_rows[rows]
         bx, by = vp[rows, 0, None], vp[rows, 1, None]
         Lx, Ly, Mx, My = wx * inv_tau, wy * inv_tau, dx * inv_tau, dy * inv_tau
         Lx[diag], Ly[diag] = vp[rows, 0], vp[rows, 1]
@@ -510,7 +513,9 @@ def _forcing_derivative_rows_direct(X: CurveState) -> Iterator[tuple]:
     """
     v, vp = X.x.values, X.xp.values
     ax, ay = vp[:, 0], vp[:, 1]
-    for rows, diag, tau, _ in _row_blocks(X.n):
+    tau_rows = _offset_rows(X.n)[0]
+    for rows, diag in _row_blocks(X.n):
+        tau = tau_rows[rows]
         bx = vp[rows, 0, None]
         by = vp[rows, 1, None]
         wx = v[:, 0] - v[rows, 0, None]

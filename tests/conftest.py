@@ -28,6 +28,22 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """(transform, sample count) of every numpy FFT call, in order; only
+    ibstring.spectral calls numpy's FFT, so these are the package's."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        transform = getattr(np.fft, name)
+
+        def counted(a, *args, _name=name, _transform=transform, **kwargs):
+            calls.append((_name, len(a)))
+            return _transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 def grid(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 

@@ -137,6 +137,15 @@ class TestFileFormats:
         assert f"\n0,{radius:.17g},0\n" in path.read_text()
         assert np.array_equal(read_snapshot(path).x.values, X.x.values)
 
+    def test_snapshot_rows_are_s_x_y_at_full_precision(self, tmp_path, rng):
+        # the s cells are formatted once per N; rows at N = 64 and 16, in
+        # turns, stay the three %.17g cells of (s, x, y)
+        for n in (64, 16, 64):
+            X = CurveState(GridField(rng.normal(size=(n, 2))))
+            write_snapshot(tmp_path / "snap.csv", X)
+            rows = ["%.17g,%.17g,%.17g" % tuple(r) for r in np.column_stack([X.s, X.x.values]).tolist()]
+            assert (tmp_path / "snap.csv").read_text() == "\n".join([f"# ibstring-curve v1 N={n}", *rows]) + "\n"
+
     def test_snapshot_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("garbage\n1,2,3\n")

@@ -17,7 +17,7 @@ from ibstring import (
     well_stretched_constant,
 )
 from ibstring import curve
-from ibstring.curve import OrientationError, _pair_blocks
+from ibstring.curve import OrientationError, _offset_rows, _pair_blocks
 from ibstring.equilibrium import closest_equilibrium
 from ibstring.spectral import derivative
 
@@ -25,19 +25,18 @@ from conftest import grid, random_smooth_curve
 
 
 def pair_chords(X: CurveState):
-    """(w, d, w2, tau, inv_tau) over all sample pairs, from _pair_blocks.
+    """(w, d, w2, tau, inv_tau) over all sample pairs, from _pair_blocks and
+    _offset_rows.
 
     w and d are the chords of X and X', shape (N, N, 2); |w|^2, tau and 1/tau
     have shape (N, N). The blocks share one workspace, so each is copied.
     """
-    w, d, w2, tau, inv_tau = [], [], [], [], []
-    for _, _, wx, wy, dx, dy, b2, t, it in _pair_blocks(X):
+    w, d, w2 = [], [], []
+    for _, _, wx, wy, dx, dy, b2 in _pair_blocks(X):
         w.append(np.stack([wx, wy], axis=-1))
         d.append(np.stack([dx, dy], axis=-1))
         w2.append(b2.copy())
-        tau.append(t)
-        inv_tau.append(it)
-    return tuple(np.concatenate(part) for part in (w, d, w2, tau, inv_tau))
+    return (*(np.concatenate(part) for part in (w, d, w2)), *_offset_rows(X.n))
 
 
 def pair_quotients(X: CurveState):

@@ -433,3 +433,22 @@ class TestResolvedVelocity:
             walks.append(sizes[done:])
         assert walks[0][-1] < 1024
         assert walks[1] == walks[0] and walks[2] == walks[0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_relax_walks_go_32_64_128_then_128(self, sizes, seed):
+        # the relax_n1024 run: the initial curve's floor is 32 and its walk
+        # ends at 128; every later state's floor is 128, which passes
+        run(relax_curve(seed), StepperConfig(dt=1e-2, t_end=0.4, snapshot_every=10))
+        assert sizes == [32, 64, 128] + [128] * 40
+
+    def test_fft_budget_per_relax_state(self, fft_calls):
+        # every FFT of a relax_n1024 run, by sample count: per state one
+        # forward transform of X and of X - X* at N, inverse ones for X', X'',
+        # the padded velocity and phi1; at N_c the truncated curve, its X'
+        # and X'' take inverse transforms only, and the velocity one forward
+        res = run(relax_curve(1), StepperConfig(dt=1e-2, t_end=0.4, snapshot_every=10))
+        states = len(res.rows)
+        sizes = [n for _, n in fft_calls]
+        assert states == 41
+        assert sizes.count(1024) <= 6 * states
+        assert sizes.count(128) <= 4 * states

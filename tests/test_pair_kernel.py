@@ -127,7 +127,9 @@ def full_pair_well_stretched_constant(X: CurveState) -> float:
     (x, y), (ax, ay) = X.x.values.T.copy(), X.xp.values.T.copy()
     speed_sq = ax * ax + ay * ay
     lam_sq = np.inf
-    for rows, diag, _, inv_tau in curve._row_blocks(X.n):
+    inv_rows = curve._offset_rows(X.n)[1]
+    for rows, diag in curve._row_blocks(X.n):
+        inv_tau = inv_rows[rows]
         wx = x - x[rows, None]
         wy = y - y[rows, None]
         w2 = wx * wx
