@@ -334,9 +334,7 @@ def build_initial(cfg: RunConfig) -> CurveState:
         enclosed_area(X)
     except OrientationError as exc:
         raise ConfigError(f"initial: {exc} (clockwise or self-intersecting curve)") from None
-    lam = well_stretched_constant(X)
-    if lam <= 0:
-        raise ConfigError(f"initial: configuration degenerate (well-stretched constant {lam:g})")
+    _check_well_stretched(X, "initial")
     return X
 
 
@@ -407,6 +405,14 @@ def _check_input(X: CurveState, source: str | Path) -> None:
             raise ConfigError(f"{source}: {exc}") from None
         except OrientationError:
             pass  # field reads a reversed curve; build_initial and fit reject it
+
+
+def _check_well_stretched(X: CurveState, source: str | Path) -> None:
+    """Raise ConfigError naming the source when two samples of X coincide or
+    its tangent vanishes at one (well-stretched constant 0)."""
+    lam = well_stretched_constant(X)
+    if lam <= 0:
+        raise ConfigError(f"{source}: configuration degenerate (well-stretched constant {lam:g})")
 
 
 _DIAG_FIELDS = tuple(f.name for f in fields(DiagnosticsRow))
@@ -505,6 +511,7 @@ def cmd_field(config_path: Path, snapshot_path: Path) -> int:
     reach = float(np.max(np.abs(X.x.values)))
     if reach > MAX_FIELD_COORD:
         raise ConfigError(f"{snapshot_path}: field needs samples at most {MAX_FIELD_COORD:g} in magnitude, got {reach:g}")
+    _check_well_stretched(X, snapshot_path)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.output_dir / "field.csv"
     write_field_csv(out, X, cfg.field_grid)

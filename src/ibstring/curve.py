@@ -43,8 +43,8 @@ class DegenerateCurveError(ValueError):
 
 @dataclass(frozen=True)
 class CurveState:
-    """Sampled string configuration; X', X'' and the well-stretched constant
-    are computed on first read.
+    """Sampled string configuration; X', X'', the well-stretched constant
+    and the signed area are computed on first read.
 
     A derivative that overflows raises NonFiniteFieldError at that read.
     """
@@ -70,6 +70,11 @@ class CurveState:
         """The well-stretched constant (see well_stretched_constant)."""
         return _well_stretched_pass(self)
 
+    @cached_property
+    def area(self) -> float:
+        """The signed area, unchecked (see enclosed_area)."""
+        return _signed_area(self)
+
     @property
     def n(self) -> int:
         return self.x.n
@@ -89,7 +94,7 @@ class CurveState:
 
         Truncation drops the modes above m/2, so callers keep it to curves
         whose dropped modes are rounding-level (spectral.resolved_band), as
-        both off-curve evaluators of stokeslet.sample_flow do.
+        the off-curve evaluator stokeslet._cauchy_flow does.
         """
         cached = self._resampled.get(m)
         if cached is None:
@@ -271,16 +276,22 @@ def _well_stretched_pass(X: CurveState) -> float:
     return float(np.sqrt(lam_sq)) if lam_sq > 0.0 else 0.0
 
 
+def _signed_area(X: CurveState) -> float:
+    """(1/2) * integral of X x X' by the trapezoid rule."""
+    v, vp = X.x.values, X.xp.values
+    cross = v[:, 0] * vp[:, 1] - v[:, 1] * vp[:, 0]
+    return 0.5 * X.h * float(np.sum(cross))
+
+
 def enclosed_area(X: CurveState) -> float:
-    """Signed enclosed area (1/2) * integral of X x X' via trapezoid rule.
+    """Signed enclosed area (1/2) * integral of X x X' via trapezoid rule,
+    computed once per state and held on X as X.area.
 
     Raises OrientationError when nonpositive (curve must be positively
     oriented and embedded at grid resolution) and NonFiniteFieldError when
     the products of X and X' overflow.
     """
-    v, vp = X.x.values, X.xp.values
-    cross = v[:, 0] * vp[:, 1] - v[:, 1] * vp[:, 0]
-    area = 0.5 * X.h * float(np.sum(cross))
+    area = X.area
     if not np.isfinite(area):
         raise NonFiniteFieldError("enclosed area of the samples overflows")
     if area <= 0:

@@ -9,11 +9,9 @@ their pair matrices; the public functions sum those rows.
 All on-curve integrals use the periodic trapezoid rule with the analytic
 removable-singularity limit substituted on the diagonal (no point exclusion).
 Off-curve velocity and pressure are batched over point blocks and written
-in complex variables as Cauchy sums over the samples. A point far enough
-from the curve takes the trapezoid rule on a truncation of the curve (the
-far rule); every other point, however near, takes compensated (barycentric)
+in complex variables: every off-curve point takes compensated (barycentric)
 Cauchy quadrature on the curve truncated to its resolved band, which stays
-at rounding level up to the curve; see README for the accuracy envelope.
+at rounding level at any distance; see README for the accuracy envelope.
 """
 
 from __future__ import annotations
@@ -133,42 +131,6 @@ def _row_sums(A: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-# The far rule of _sample_counts. With a strip of 48/M, truncated rows stayed
-# within 2.3e-15 max(1, |row|) of the full-N rows on eight test curves, with
-# 32/M up to 1e-12 (see README).
-_FAR_STRIP = 48.0
-
-
-def _sample_counts(X: CurveState, dist: np.ndarray, band: int, coef: np.ndarray) -> np.ndarray:
-    """Samples M of the truncated trapezoid rule at each point, N where the
-    rule cannot truncate: dist is the point's distance to its nearest sample,
-    band the curve's resolved band K and coef the Fourier coefficients c_k of
-    X_1 + i X_2.
-
-    A point z takes the fewest power-of-two M below N that passes the curve's
-    tail test (4K <= M, K from spectral.resolved_band, so that the truncation
-    drops only rounding-level modes) and dist >= F(48/M), with
-    F(sigma) = sum over 0 < |k| <= K of |c_k| (e^{|k| sigma} - 1). F(sigma)
-    bounds how far the band-limited curve moves from a real s to s + i sigma,
-    so no pole of the integrand, where X(s) = z, lies in the strip
-    |Im s| < 48/M, and the rule's error there decays like e^{-48} (Trefethen
-    & Weideman, SIAM Review 56, 2014). Since F(sigma) >= sigma max|X'|, no
-    point nearer than 96 max|X'|/N passes. The rule compares scaled lengths
-    only, so a dilation of the curve and the points by a power of two keeps
-    every count.
-    """
-    n = X.n
-    count = np.full(len(dist), n, dtype=np.int64)
-    amp = np.abs(np.concatenate([coef[1:band + 1], coef[n - band:]]))
-    k = np.concatenate([np.arange(1, band + 1), np.arange(band, 0, -1)])
-    fits = np.ones(len(dist), dtype=bool)
-    m = 1 << ((n - 1).bit_length() - 1)  # the largest power of two below N
-    while m >= max(4 * band, 2) and (fits := fits & (dist >= np.sum(amp * np.expm1(k * (_FAR_STRIP / m))))).any():
-        count[fits] = m
-        m //= 2
-    return count
-
-
 def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den for complex (P,) arrays in real arithmetic: numpy may round a
     complex operation on a one-element array differently from a longer one."""
@@ -241,8 +203,8 @@ def _inside(X: CurveState, z: np.ndarray, nearest: np.ndarray, dist: np.ndarray,
     return orientation * (r.real * b.imag - r.imag * b.real) < 0.0
 
 
-def _cauchy_flow(X: CurveState, z: np.ndarray, nearest: np.ndarray, dist: np.ndarray, band: int,
-                 coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cauchy_flow(X: CurveState, z: np.ndarray, nearest: np.ndarray,
+                 dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Velocity (P, 2) and pressure (P,) at P off-curve points z by
     compensated (barycentric) Cauchy quadrature on the curve truncated to
     M_c samples (Helsing & Ojala, J. Comput. Phys. 227, 2008; Barnett, Wu &
@@ -266,6 +228,7 @@ def _cauchy_flow(X: CurveState, z: np.ndarray, nearest: np.ndarray, dist: np.nda
     (_row_sums), and the point-only arithmetic is real, so a row is bitwise
     the same in any block.
     """
+    band = resolved_band(X.x)[0]
     m = min(X.n, max(16, 1 << (8 * band - 1).bit_length()))
     xs, xps = X.resampled(m)
     zeta, a, app = _complex(xs), _complex(xps), _complex(resample(X.xpp, m))
@@ -275,9 +238,9 @@ def _cauchy_flow(X: CurveState, z: np.ndarray, nearest: np.ndarray, dist: np.nda
     g = np.stack([a, arm * a]).T  # the densities a and gb
     g_prime = np.stack([app, a.real * a.real + a.imag * a.imag + arm * app]).T
     outer = _boundary_values(zeta, a, g, g_prime)
-    v, t = _complex(X.x.values), _complex(X.xp.values)
-    orientation = 1.0 if np.sum(v.real * t.imag - v.imag * t.real) >= 0.0 else -1.0
-    inside = _inside(X, z, nearest, dist, band, coef, orientation)
+    orientation = 1.0 if X.area >= 0.0 else -1.0
+    spec = to_spectral(X.x)
+    inside = _inside(X, z, nearest, dist, band, spec[:, 0] + 1j * spec[:, 1], orientation)
 
     u, p = np.empty((len(z), 2)), np.empty(len(z))
     step = max(1, _BLOCK_ENTRIES // m)
@@ -310,30 +273,10 @@ def _cauchy_flow(X: CurveState, z: np.ndarray, nearest: np.ndarray, dist: np.nda
 def sample_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Velocity (P, 2) and pressure (P,) at P points; NaN rows on the curve.
 
-    Each point is evaluated by one of two rules. A point far enough from the
-    curve for _sample_counts to truncate it (M < N samples, the far rule)
-    takes the trapezoid rule on the truncated curve:
-    velocity, the trapezoid of -d/ds'[G(x - X(s'))](X'(s') - X'(s_x)), s_x
-    the nearest sample (the constant X'(s_x) only conditions the quadrature);
-    pressure, (1/2pi) * integral of |X'|^2/|X-x|^2 - 2((X-x).X')^2/|X-x|^4,
-    zero-constant gauge. Every other point, however near the curve, goes to
-    the compensated Cauchy evaluator _cauchy_flow, on the curve truncated to
-    M_c samples. Both use spectral.resample of the band-limited curve,
-    memoized on X by sample count.
-
-    In complex variables, with z the point, zeta = X(s'), a = X'(s'),
-    b = X'(s_x), W = zeta - z, R = 1/W and Q = conj(W)/W^2, the far rule's
-    integrands are Cauchy sums times point-only factors (the |a|^2 terms
-    cancel):
-        4pi (u_x + i u_y) = (h/2)[S(R a^2) - 2b Re S(R a) + conj(b S(R conj a)
-                                  + S(Q a^2) - b S(Q a))],
-        p = -(h/2pi) Re S(R^2 a^2),
-    S the sum over samples. Each sample count's points go in (points, M)
-    blocks of W and R, with each sum one BLAS product per row against the
-    sample weights [a^2, a, conj a], so a row is bitwise the same in any
-    block. The point-only factors are applied in real arithmetic: numpy may
-    round a complex product on a one-element array differently from a longer
-    one.
+    A point that coincides with a sample gets a NaN row; every other point,
+    however near the curve or far from it, goes to the compensated Cauchy
+    evaluator _cauchy_flow. The nearest sample of each point, which decides
+    both, comes from one blocked pass over the N samples.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     px, py = points[:, 0].copy(), points[:, 1].copy()
@@ -353,46 +296,11 @@ def sample_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
         nearest[lo:lo + step], d2[lo:lo + step] = j, sx[np.arange(len(j)), j]
     del work
     dist = np.sqrt(d2)
-    band = resolved_band(X.x)[0]
-    c = to_spectral(X.x)
-    coef = c[:, 0] + 1j * c[:, 1]
-    count = _sample_counts(X, dist, band, coef)
-    tx, ty = X.xp.values[:, 0], X.xp.values[:, 1]
 
     u, p = np.full((len(points), 2), np.nan), np.full(len(points), np.nan)
-    z = _complex(points)
-    off = dist > 0.0
-    # largest count first, while the fewest resamplings are cached on X
-    for m in np.unique(count[off & (count < X.n)])[::-1].tolist():
-        xs, xps = X.resampled(m)
-        h = 2.0 * np.pi / m
-        zeta, a = _complex(xs), _complex(xps)
-        weights = np.stack([a * a, a, a.conj()]).T  # (M, 3), each column contiguous
-        group = np.flatnonzero(off & (count == m))
-        step = max(1, _BLOCK_ENTRIES // m)
-        work = np.empty((2, min(step, len(group)), m), dtype=complex)
-        for lo in range(0, len(group), step):
-            idx = group[lo:lo + step]
-            W, R = work[:, : len(idx)]
-            W[:] = zeta
-            W -= z[idx, None]
-            np.divide(1.0, W, out=R)
-            s_a2, s_a, s_ac = _row_sums(R, weights).T
-            np.square(R, out=R)
-            s_p = _row_sums(R, weights[:, :1])[:, 0]
-            np.multiply(np.conjugate(W, out=W), R, out=W)
-            q_a2, q_a = _row_sums(W, weights[:, :2]).T
-            # c = S(R conj a) - S(Q a), then b c and the two components
-            cx, cy = s_ac.real - q_a.real, s_ac.imag - q_a.imag
-            bx, by = tx[nearest[idx]], ty[nearest[idx]]
-            ux = s_a2.real - 2.0 * bx * s_a.real + q_a2.real + (bx * cx - by * cy)
-            uy = s_a2.imag - 2.0 * by * s_a.real - q_a2.imag - (bx * cy + by * cx)
-            u[idx, 0], u[idx, 1] = h * ux / (2.0 * _FOUR_PI), h * uy / (2.0 * _FOUR_PI)
-            p[idx] = -h * s_p.real / (2.0 * np.pi)
-        del weights, work
-    rest = np.flatnonzero(off & (count == X.n))
-    if rest.size:
-        u[rest], p[rest] = _cauchy_flow(X, z[rest], nearest[rest], dist[rest], band, coef)
+    off = np.flatnonzero(dist > 0.0)
+    if off.size:
+        u[off], p[off] = _cauchy_flow(X, _complex(points)[off], nearest[off], dist[off])
     return u, p
 
 

@@ -241,6 +241,19 @@ class TestSubcommands:
         rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
         assert len(passes) == len(rows) == 6
 
+    def test_simulate_computes_one_area_per_row(self, tmp_path, monkeypatch):
+        # the row's area column and its fitted radius share one sum, and so
+        # do build_initial's checks and row 0
+        sums = []
+        signed_area = curve._signed_area
+        monkeypatch.setattr(curve, "_signed_area", lambda X: sums.append(X) or signed_area(X))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(config_text(t_end=0.05, output_dir=str(tmp_path / "out"),
+                                        initial={"kind": "reparam_circle", "beta": 0.5}))
+        assert main(["simulate", str(cfg_path)]) == 0
+        rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
+        assert len(sums) == len(rows) == 6
+
     def test_simulate_config_error_exit_2(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(config_text(grid_n=7))
@@ -426,11 +439,13 @@ class TestMalformedInputs:
             rows = np.loadtxt(tmp_path / "out" / "field.csv", delimiter=",", skiprows=1)
             assert rows.shape == (6, 5) and np.all(np.isfinite(rows))
 
-    @pytest.mark.parametrize("center, code", [(1e100, 2), (MAX_FIELD_COORD, 0)])
-    def test_far_snapshot_capped(self, tmp_path, capsys, center, code):
-        # a lattice within the cap, but a curve beyond it
+    @pytest.mark.parametrize("center, radius, code", [(1e100, 1.0, 2), (MAX_FIELD_COORD - 1e62, 1e62, 0)],
+                             ids=["1e+100-2", "1e+75-0"])
+    def test_far_snapshot_capped(self, tmp_path, capsys, center, radius, code):
+        # a lattice within the cap, but a curve beyond it; a curve that
+        # reaches the cap, with samples distinct there, evaluates cleanly
         snap = tmp_path / "far.csv"
-        write_snapshot(snap, make_circle(64, 1.0, 0.0, (center, 0.0)))
+        write_snapshot(snap, make_circle(64, radius, 0.0, (center, 0.0)))
         grid = {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 3, "ny": 2}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(output_dir=str(tmp_path / "out"), field_grid=grid))
@@ -445,6 +460,28 @@ class TestMalformedInputs:
         else:
             rows = np.loadtxt(tmp_path / "out" / "field.csv", delimiter=",", skiprows=1)
             assert rows.shape == (6, 5) and np.all(np.isfinite(rows))
+
+    @pytest.mark.parametrize("command, center", [("field", 1e17), ("field", MAX_FIELD_COORD),
+                                                 ("field", 0.0), ("simulate", 0.0)])
+    def test_degenerate_snapshot_exit_2(self, tmp_path, capsys, command, center):
+        # lambda = 0: a unit circle this far out rounds its samples onto each
+        # other; at the origin one sample is repeated. simulate's initial
+        # curve and field's snapshot get the same message
+        values = make_circle(64, 1.0, 0.0, (center, 0.0)).x.values.copy()
+        if center == 0.0:
+            values[1] = values[0]
+        snap = tmp_path / "degenerate.csv"
+        write_snapshot(snap, CurveState(GridField(values)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(
+            output_dir=str(tmp_path / "out"), initial={"kind": "file", "path": str(snap)},
+            field_grid={"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 3, "ny": 2},
+        ))
+        source = "initial" if command == "simulate" else snap
+        argv = [command, str(cfg_path)] + ([str(snap)] if command == "field" else [])
+        self.assert_one_line_exit_2(
+            argv, f"{source}: configuration degenerate (well-stretched constant 0)", tmp_path / "out", capsys,
+        )
 
     @pytest.fixture
     def overflowing_snapshot(self, tmp_path):

@@ -321,19 +321,6 @@ def far_ring() -> np.ndarray:
     return np.array([(r * np.cos(a), r * np.sin(a)) for r in (2.0, 4.0, 16.0, 100.0) for a in angle])
 
 
-def recorded_counts(monkeypatch) -> list:
-    """Record every per-point sample count that sample_flow's far rule returns."""
-    seen = []
-    rule = ibstring.stokeslet._sample_counts
-
-    def record(*args):
-        seen.append(rule(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(ibstring.stokeslet, "_sample_counts", record)
-    return seen
-
-
 def assert_rows_independent_of_blocks_and_order(X: CurveState, points: np.ndarray, rng, monkeypatch) -> None:
     """Each lattice row equals its one-point call and does not depend on the
     order of the points or on the block size, bit for bit."""
@@ -365,7 +352,8 @@ class TestBatchedOffCurveFlow:
         assert_rows_independent_of_blocks_and_order(X, near_lattice(X), rng, monkeypatch)
 
     def test_truncated_groups_bitwise_independent_of_blocks_and_order(self, rng, monkeypatch):
-        # at N = 1024 the far points take truncated curves of several sizes
+        # at N = 1024 near and far points alike take the Cauchy sums on the
+        # curve truncated to M_c samples
         X = relax_curve(2)
         points = np.vstack([near_lattice(X), far_ring()])
         assert_rows_independent_of_blocks_and_order(X, points, rng, monkeypatch)
@@ -439,42 +427,34 @@ class TestBatchedOffCurveFlow:
         assert np.isnan(u[[1, 3]]).all() and np.isnan(p[[1, 3]]).all()
         assert np.isfinite(u[[0, 2]]).all() and np.isfinite(p[[0, 2]]).all()
 
-    def test_lattice_memory_peak(self, monkeypatch):
+    def test_lattice_memory_peak(self):
         # the field benchmark's size: N = 1024 and an 80 x 80 lattice, with
-        # the truncations built (and counted) inside the evaluation
+        # the truncated curve built inside the evaluation
         modes = [PerturbationMode(k, 0.008, 0.006, 0.3 * k, 1.1 * k) for k in range(2, 7)]
         samples = make_perturbed_circle(1024, 1.0, modes).x
         X = CurveState(samples)
-        seen = recorded_counts(monkeypatch)
         tracemalloc.start()
         try:
             u, p = sample_flow(X, field_lattice(80))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (seen[0] == X.n).sum() > 500  # the Cauchy evaluator's points were exercised
         assert np.isfinite(u).all() and np.isfinite(p).all()
         assert peak < 16e6
 
 
 class TestCauchyEvaluator:
     @pytest.mark.parametrize("seed, scale", [(1, 1.0), (2, 1.0), (3, 1.0), (None, 1.0), (1, 100.0)])
-    def test_untruncated_field_rows_match_the_dense_oracle(self, monkeypatch, seed, scale):
-        # every field_n1024 row the far rule leaves at N samples, among them
-        # every row within 6.5 h |b| of the curve, on the benchmark's curves,
-        # a beta = 0.5 circle (None) and a radius-100 copy
+    def test_field_rows_match_the_dense_oracle(self, seed, scale):
+        # every field_n1024 row on the benchmark's curves, a beta = 0.5
+        # circle (None) and a radius-100 copy
         X = make_reparam_circle(1024, 1.0, 0.5) if seed is None else relax_curve(seed)
         X = CurveState(GridField(scale * X.x.values))
         points = scale * field_lattice(80)
-        seen = recorded_counts(monkeypatch)
         u, p = sample_flow(X, points)
-        rest = seen[0] == X.n
-        for x in points[~rest]:  # no truncated row lies within 6.5 h |b|
-            d2 = np.sum((X.x.values - x) ** 2, axis=1)
-            assert d2.min() >= (6.5 * X.h) ** 2 * np.sum(X.xp.values[np.argmin(d2)] ** 2)
-        ref_u, ref_p = dense_flow(X, points[rest])
-        assert np.max(np.abs(u[rest] - ref_u)) <= 3e-13 * scale
-        assert np.all(np.abs(p[rest] - ref_p) <= 2e-9 * np.maximum(1.0, np.abs(ref_p)))
+        ref_u, ref_p = dense_flow(X, points)
+        assert np.max(np.abs(u - ref_u)) <= 3e-13 * scale
+        assert np.all(np.abs(p - ref_p) <= 2e-9 * np.maximum(1.0, np.abs(ref_p)))
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_midway_points_match_the_dense_oracle(self, side):
@@ -532,8 +512,8 @@ class TestCauchyEvaluator:
 class TestSampleCounts:
     @pytest.mark.parametrize("scale", [2.0**7, 2.0**-7])
     def test_dilation_by_a_power_of_two_is_exact(self, rng, scale):
-        # the far rule compares lengths that scale exactly, and every float
-        # operation of the sums scales exactly too
+        # the truncated curve M_c and the side test depend on the curve's
+        # shape only, and every float operation of the sums scales exactly
         for X in (random_smooth_curve(rng, 64), relax_curve(1)):
             points = np.vstack([near_lattice(X), far_ring()])
             u, p = sample_flow(X, points)
@@ -552,32 +532,16 @@ class TestSampleCounts:
             assert abs(p[0] - ref_p[0]) <= 1e-10 * abs(ref_p[0])
 
     @pytest.mark.parametrize("seed", [1, 2, 3, None])
-    def test_far_rows_match_the_full_resolution_oracle(self, monkeypatch, seed):
+    def test_far_rows_match_the_full_resolution_oracle(self, seed):
         # the benchmark's curves and a beta = 0.5 circle (None), whose speed
-        # |X'| runs from 0.5 to 1.5; the rows the far rule truncates
+        # |X'| runs from 0.5 to 1.5, at points from 2 to 100 curve radii out
         X = make_reparam_circle(1024, 1.0, 0.5) if seed is None else relax_curve(seed)
-        points = np.vstack([field_lattice(40), far_ring()])
-        seen = recorded_counts(monkeypatch)
+        points = far_ring()
         u, p = sample_flow(X, points)
-        far = seen[0] < X.n
-        assert len(np.unique(seen[0][far])) >= 3  # truncated curves of several sizes
-        ref_u, ref_p = direct_flow(X, points[far], X.n)
+        ref_u, ref_p = direct_flow(X, points, X.n)
         ref = np.column_stack([ref_u, ref_p])
-        got = np.column_stack([u, p])[far]
+        got = np.column_stack([u, p])
         assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
-
-    def test_curve_that_fills_its_spectrum_keeps_every_sample(self, monkeypatch):
-        # modes k = 2 .. N/2 - 1 fall to 1e-10 at k = N/6, and stay above the
-        # tail test's bound up to k = 233, so no power of two below N passes it
-        n = 1024
-        modes = [PerturbationMode(k, 1e-2 * 10.0 ** (-8.0 * k / (n // 6))) for k in range(2, n // 2)]
-        X = make_perturbed_circle(n, 1.0, modes)
-        points = np.vstack([field_lattice(20), far_ring()])
-        seen = recorded_counts(monkeypatch)
-        sample_flow(X, points)
-        sample_flow(relax_curve(1), points)
-        assert seen[0].min() == n
-        assert seen[1].min() < n  # the same points on a smooth curve do coarsen
 
     def test_field_lattice_evaluates_at_most_half_the_pairs(self, monkeypatch):
         X = relax_curve(1)
