@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .spectral import GridField, NonFiniteFieldError, derivative, resample, sobolev_seminorm
 
@@ -47,6 +47,8 @@ class CurveState:
     and the signed area are computed on first read.
 
     A derivative that overflows raises NonFiniteFieldError at that read.
+    The well-stretched pass leaves per-offset chord bounds on the state,
+    which seed_well_stretched hands to a later state's pass.
     """
 
     x: GridField
@@ -54,6 +56,8 @@ class CurveState:
     def __post_init__(self) -> None:
         # memo of resampled() keyed by sample count
         object.__setattr__(self, "_resampled", {})
+        # the _ChordBounds the well-stretched pass starts from, then the ones it leaves
+        object.__setattr__(self, "_chords", None)
 
     @cached_property
     def xp(self) -> GridField:
@@ -86,6 +90,17 @@ class CurveState:
     @property
     def s(self) -> np.ndarray:
         return self.x.s
+
+    def seed_well_stretched(self, other: CurveState) -> None:
+        """Start this state's well-stretched pass from the chord bounds
+        other's pass left (or was seeded with), unless this state holds its
+        own.
+
+        Only the work of the pass depends on the seed, never its value; a
+        seed from another N is ignored.
+        """
+        if self._chords is None:
+            object.__setattr__(self, "_chords", other._chords)
 
     def resampled(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Samples (X, X') of the band-limited curve truncated to m <= N
@@ -175,9 +190,9 @@ def _pair_blocks(X: CurveState) -> Iterator[tuple]:
         yield rows, diag, wx, wy, dx, dy, w2
 
 
-# The well-stretched pass first evaluates every S-th torus offset, S = N/64 from
-# N = 512 up (S = 1 below, where that level is the whole pass), and then only
-# the offsets a Lipschitz bound cannot exclude.
+# From N = 512 up the well-stretched pass evaluates only the torus offsets a
+# lower bound cannot exclude; without carried bounds it starts from every S-th
+# offset, S = N/64. Below 512 it evaluates every offset.
 _PRUNE_MIN_N = 512
 _COARSE_OFFSETS = 64
 # Relative amount by which each float term of the bound moves to its safe side;
@@ -218,62 +233,119 @@ def well_stretched_constant(X: CurveState) -> float:
     return X.well_stretched
 
 
+class _ChordBounds(NamedTuple):
+    """What a well-stretched pass leaves on its state for a later state's pass.
+
+    root[k - 1] is a lower bound on min_j |X(s_j+k) - X(s_j)| for the samples
+    x, k = 1 .. N/2: the computed root, shrunk by _MARGIN, where the pass
+    evaluated k, and the bound it skipped k with elsewhere. argmin is the
+    offset where the smallest ratio fell. Arrays only, so a state never holds
+    another state.
+    """
+
+    x: np.ndarray
+    root: np.ndarray
+    argmin: int
+
+
 def _well_stretched_pass(X: CurveState) -> float:
     """well_stretched_constant's pass over the torus offsets.
 
     Offset k = 1 .. N/2, each counted once, has the ratio min_j |w|^2 times the
     scalar (1/tau_k)^2, w = X(s_j+k) - X(s_j) and tau_k as in _torus_offsets.
     Since fl(a c) is monotone in a for c > 0, the minimum over the offsets is
-    bitwise the minimum over all pairs of |w|^2 (1/tau)^2.
-
-    Not every offset is evaluated. The coarse level takes k = S, 2S, .. and
-    N/2, with S = N/64 for N >= 512; below 512, S = 1 and the coarse level is
-    the whole pass. By the triangle inequality, for any offsets k and k',
-    min_j |w(k')| >= sqrt(min_j |w(k)|^2) - |k' - k| c, with c = max_j
-    |X(s_j+1) - X(s_j)| the largest chord between consecutive samples. Each
-    skipped offset k' takes the larger of the bounds from its nearest coarse
-    offset on either side (offset 0, whose chord is zero, below S), and the
-    refinement evaluates, in contiguous runs, the offsets whose bound times
-    1/tau_k' squared does not exceed the smallest coarse ratio. Each float
-    term of the bound is moved to its safe side by a relative 1e-12 (the
-    root shrunk, c inflated, the bound shrunk), far more than the few-ulp
-    rounding of the computed ratios. So an offset is skipped only when its
-    ratio exceeds one already evaluated, and the result is bitwise the full
-    pass's.
+    bitwise the minimum over all pairs of |w|^2 (1/tau)^2. Below N = 512 the
+    pass evaluates every offset; from 512 up it prunes them (_pruned_pass).
     """
+    seed = X._chords
+    object.__setattr__(X, "_chords", None)
     vp = X.xp.values
     if float((vp[:, 0] * vp[:, 0] + vp[:, 1] * vp[:, 1]).min()) <= 0.0:
         return 0.0
     n, m = X.n, X.n // 2
     xy = X.x.values.T.copy()
-    windows = sliding_window_view(np.concatenate([xy, xy], axis=1), n, axis=1)  # [c, k, j] = xy[c, j + k]
+    doubled = np.concatenate([xy, xy], axis=1)
+    row, col = doubled.strides
+    windows = as_strided(doubled, (2, n, n), (row, col, col), writeable=False)  # [c, k, j] = xy[c, j + k]
     inv_tau = 1.0 / (np.arange(1, m + 1) * (2.0 * np.pi / n))
     min_w2 = np.full(m, np.inf)  # stays inf at the offsets the bound skips
     rows = max(1, _BLOCK_ROWS * 1024 // n)  # offsets per block: cache-sized, few blocks at small N
     work = np.empty((3, min(rows, m), n))
+    if n < _PRUNE_MIN_N:
+        _min_chord_sq(windows, xy, range(1, m + 1), min_w2, work)
+    else:
+        _pruned_pass(X, seed, windows, xy, inv_tau, min_w2, work)
+    lam_sq = float(np.min(inv_tau * inv_tau * min_w2))
+    return float(np.sqrt(lam_sq)) if lam_sq > 0.0 else 0.0
 
-    stride = n // _COARSE_OFFSETS if n >= _PRUNE_MIN_N else 1
-    _min_chord_sq(windows, xy, range(stride, m + 1, stride), min_w2, work)
-    if m % stride:
-        _min_chord_sq(windows, xy, range(m, m + 1), min_w2, work)
-    k = np.arange(1, m + 1)
-    k = k[(k % stride != 0) & (k < m)]  # the offsets the coarse level left out
-    if k.size:
+
+def _pruned_pass(X: CurveState, seed: _ChordBounds | None, windows: np.ndarray, xy: np.ndarray,
+                 inv_tau: np.ndarray, min_w2: np.ndarray, work: np.ndarray) -> None:
+    """Fill min_w2 (as _min_chord_sq) at every offset that can hold the
+    smallest ratio, leaving inf at the others, and leave X's _ChordBounds.
+
+    Each offset gets a lower bound on its min_j |w|, and after a first level
+    of offsets the pass evaluates, in contiguous runs, only those whose bound
+    times 1/tau_k squared does not exceed the smallest ratio of that level.
+    Each float term of a bound is moved to its safe side by a relative
+    _MARGIN = 1e-12, far more than the few-ulp rounding of the computed
+    ratios, so an offset is skipped only when its ratio exceeds one already
+    evaluated, and the minimum is bitwise the full pass's. The first level
+    and the bounds come from one of two sources:
+
+    - The seed, bounds carried from another state with the same N (a run
+      hands each state the last observed state's, see seed_well_stretched).
+      By the triangle inequality min_j |w_Y(k)| >= min_j |w_X(k)| - 2 max_j
+      |Y_j - X_j|, so each carried bound is lowered by twice the largest
+      displacement (inflated by _MARGIN). The first level is the offset where
+      the carried state's minimum fell; it must be that offset, because the
+      bounds of small offsets fall to 0 within a few steps.
+    - Otherwise the coarse level k = S, 2S, .. and N/2, S = N/64. For any
+      offsets k and k', min_j |w(k')| >= sqrt(min_j |w(k)|^2) - |k' - k| c,
+      with c = max_j |X(s_j+1) - X(s_j)| the largest chord between
+      consecutive samples, and each skipped offset takes the larger of the
+      bounds from its nearest coarse offset on either side (offset 0, whose
+      chord is zero, below S).
+    """
+    n, m = X.n, len(min_w2)
+    done = np.zeros(m, dtype=bool)
+
+    def evaluate(offsets: range) -> None:
+        _min_chord_sq(windows, xy, offsets, min_w2, work)
+        done[offsets.start - 1: offsets.stop - 1: offsets.step] = True
+
+    def roots() -> np.ndarray:
+        # an overflowed min |w|^2 still bounds |w| below by sqrt of the largest double
+        return np.sqrt(np.minimum(min_w2, np.finfo(float).max)) * (1.0 - _MARGIN)
+
+    if seed is not None and seed.x.shape == X.x.values.shape:
+        with np.errstate(over="ignore"):  # an overflowed displacement bounds nothing: every offset is evaluated
+            moved = X.x.values - seed.x
+            drift = float(np.sqrt(np.max(np.einsum("ij,ij->i", moved, moved)))) * (1.0 + _MARGIN)
+        lb = seed.root - 2.0 * drift
+        evaluate(range(seed.argmin, seed.argmin + 1))
+    else:
+        stride = n // _COARSE_OFFSETS
+        evaluate(range(stride, m + 1, stride))
+        if m % stride:
+            evaluate(range(m, m + 1))
+        k = np.arange(1, m + 1)
         left = k - k % stride  # the nearest coarse offsets; offset 0 has the zero chord
         right = np.minimum(left + stride, m)
-        # an overflowed min |w|^2 still bounds |w| below by sqrt of the largest double
-        root = np.sqrt(np.minimum(np.concatenate(([0.0], min_w2)), np.finfo(float).max)) * (1.0 - _MARGIN)
+        root = np.concatenate(([0.0], roots()))
         step = windows[:, 1] - xy
         c = float(np.sqrt(np.max(step[0] * step[0] + step[1] * step[1]))) * (1.0 + _MARGIN)
         lb = np.maximum(root[left] - (k - left) * c, root[right] - (right - k) * c)
-        bound = np.maximum(lb, 0.0) * (1.0 - _MARGIN) * inv_tau[k - 1]
-        best = max(float(np.min(inv_tau * inv_tau * min_w2)), _PRUNE_FLOOR)
-        k = k[bound * bound <= best]
-        first = np.flatnonzero(np.diff(k, prepend=-n) > 1 + _MERGE_PAIRS // n)  # where runs start
-        for a, b in zip(first, np.r_[first[1:], k.size]):
-            _min_chord_sq(windows, xy, range(k[a], k[b - 1] + 1), min_w2, work)
-    lam_sq = float(np.min(inv_tau * inv_tau * min_w2))
-    return float(np.sqrt(lam_sq)) if lam_sq > 0.0 else 0.0
+    lb = np.maximum(lb, 0.0) * (1.0 - _MARGIN)
+    bound = lb * inv_tau
+    best = max(float(np.min(inv_tau * inv_tau * min_w2)), _PRUNE_FLOOR)
+    k = np.flatnonzero(~done & (bound * bound <= best)) + 1
+    if k.size:
+        breaks = (np.flatnonzero(np.diff(k) > 1 + _MERGE_PAIRS // n) + 1).tolist()  # where runs start
+        for a, b in zip([0, *breaks], [*breaks, k.size]):
+            evaluate(range(k[a], k[b - 1] + 1))
+    argmin = int(np.argmin(inv_tau * inv_tau * min_w2))
+    object.__setattr__(X, "_chords", _ChordBounds(X.x.values, np.where(done, roots(), lb), argmin + 1))
 
 
 def _signed_area(X: CurveState) -> float:

@@ -15,8 +15,15 @@ step's first stage reuses.
 
 The truncated curve and the padded velocity are seeded fields
 (spectral.resample_field), which keep the coefficients they were built from
-as their transform; a relax_n1024 state thus costs six FFTs at N and four at
-N_c (see README).
+as their transform, and the fit distances are read from the state's own
+transform (equilibrium.fit_distance); a relax_n1024 state thus costs five
+FFTs at N and four at N_c (see README).
+
+Each state's well-stretched pass starts from the chord bounds the last
+observed state's pass left (CurveState.seed_well_stretched), so it evaluates
+a few torus offsets where a pass from scratch evaluates about 45 at N = 1024.
+The bounds hold arrays only, and lambda is bitwise the full pass's whatever
+they hold, so a restarted run still reproduces the run.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .curve import (
     enclosed_area,
     well_stretched_constant,
 )
-from .equilibrium import closest_equilibrium, fit_deviation
+from .equilibrium import closest_equilibrium, fit_distance
 from .spectral import (
     GridField,
     NonFiniteFieldError,
@@ -42,7 +49,6 @@ from .spectral import (
     resample_field,
     resolved_band,
     semigroup_phi1,
-    sobolev_seminorm,
 )
 from .stokeslet import dissipation_rate, on_curve_velocity
 
@@ -191,7 +197,6 @@ SCHEMES = {"rk4": step_rk4, "exp_euler": step_exp_euler}
 def diagnostics_row(t: float, X: CurveState, u: GridField) -> DiagnosticsRow:
     """Assemble the per-step diagnostics from a state and its velocity."""
     fit = closest_equilibrium(X)
-    deviation = fit_deviation(X, fit)  # one transform for both fit distances
     return DiagnosticsRow(
         t=t,
         energy=elastic_energy(X),
@@ -199,8 +204,8 @@ def diagnostics_row(t: float, X: CurveState, u: GridField) -> DiagnosticsRow:
         well_stretched=well_stretched_constant(X),
         radius=fit.radius,
         area=enclosed_area(X),
-        dist_h1=sobolev_seminorm(deviation, 1.0),
-        dist_h52=sobolev_seminorm(deviation, 2.5),
+        dist_h1=fit_distance(X, fit, 1.0),
+        dist_h52=fit_distance(X, fit, 2.5),
         theta_star=float("nan") if fit.degenerate else fit.theta_star,
         xstar_x=float(fit.x_star[0]),
         xstar_y=float(fit.x_star[1]),
@@ -246,6 +251,7 @@ def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
     threshold = cfg.lambda_abort  # None until row 0 gives half its well-stretched constant
     filtering = cfg.dealias_active()
     last = (None, None)  # the last state and its velocity
+    observed = None  # the last observed state, whose chord bounds seed the next lambda pass
 
     def velocity(X: CurveState) -> GridField:
         nonlocal last
@@ -257,7 +263,10 @@ def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
         # degeneracy (self-intersection, orientation flip) is a regime exit,
         # reported through the same channel as the threshold abort; X' and X''
         # are first computed here, so their overflow is a blow-up of the step
-        nonlocal threshold
+        nonlocal threshold, observed
+        if observed is not None:
+            X.seed_well_stretched(observed)
+        observed = X
         try:
             row = diagnostics_row(t, X, velocity(X))
         except (OrientationError, DegenerateCurveError) as exc:

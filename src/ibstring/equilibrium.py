@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .curve import CurveState, effective_radius, make_circle
-from .spectral import GridField, fractional_laplacian_half, hilbert_transform, sobolev_seminorm, to_spectral
+from .spectral import (
+    GridField,
+    fractional_laplacian_half,
+    hilbert_transform,
+    sobolev_seminorm,
+    spectrum_seminorm,
+    to_spectral,
+)
 
 __all__ = [
     "EquilibriumFit",
@@ -27,14 +35,14 @@ __all__ = [
     "linearized_velocity",
     "mode_block",
     "measure_decay_rate",
-    "fit_deviation",
     "fit_distance",
 ]
 
 
 @dataclass(frozen=True)
 class EquilibriumFit:
-    """Best-fit circle parameters and its samples on the source grid.
+    """Best-fit circle parameters; its samples on the source grid of n
+    points are built on first read of x_star_samples.
 
     degenerate is set when the configuration has no k = +-1 content, in which
     case the rotation phase is conventionally 0.
@@ -43,8 +51,13 @@ class EquilibriumFit:
     theta_star: float
     x_star: np.ndarray
     radius: float
-    x_star_samples: GridField
+    n: int
     degenerate: bool = False
+
+    @cached_property
+    def x_star_samples(self) -> GridField:
+        """The fitted circle Y* on the source grid."""
+        return make_circle(self.n, self.radius, self.theta_star, self.x_star).x
 
 
 def closest_equilibrium(Y: CurveState) -> EquilibriumFit:
@@ -57,12 +70,11 @@ def closest_equilibrium(Y: CurveState) -> EquilibriumFit:
     theta_star = 0.0 if degenerate else float(np.angle(c) % (2.0 * np.pi))
     if 2.0 * np.pi - theta_star < 1e-9:  # keep the wrap point stable at 0
         theta_star = 0.0
-    samples = make_circle(Y.n, radius, theta_star, x_star).x
     return EquilibriumFit(
         theta_star=theta_star,
         x_star=x_star,
         radius=radius,
-        x_star_samples=samples,
+        n=Y.n,
         degenerate=degenerate,
     )
 
@@ -93,14 +105,21 @@ def h1_energy_equivalence(Y: CurveState) -> tuple[float, float, float]:
     return 0.5 * excess, dist_sq, 4.0 * excess
 
 
-def fit_deviation(Y: CurveState, fit: EquilibriumFit) -> GridField:
-    """Y - Y*, the field whose seminorms are the fit distances."""
-    return GridField(Y.x.values - fit.x_star_samples.values)
-
-
 def fit_distance(Y: CurveState, fit: EquilibriumFit, order: float) -> float:
-    """Homogeneous Sobolev distance between Y and its fitted equilibrium."""
-    return sobolev_seminorm(fit_deviation(Y, fit), order)
+    """Homogeneous Sobolev distance between Y and its fitted equilibrium.
+
+    Y* = x* + R (cos(s + theta*), sin(s + theta*)) has only the modes 0 and
+    +-1, so the transform of Y - Y* is Y's spectrum memo with those three
+    rows less Y*'s coefficients N x*, (N R/2) e^{i theta*} (1, -i) and their
+    conjugate: no circle is sampled and nothing is transformed.
+    """
+    n = Y.n
+    rot = 0.5 * n * fit.radius * np.exp(1j * fit.theta_star)
+    dev = Y.x.spectrum.copy()
+    dev[0] -= n * fit.x_star
+    dev[1] -= rot * np.array([1.0, -1j])
+    dev[-1] -= np.conj(rot) * np.array([1.0, 1j])
+    return spectrum_seminorm(dev, order)
 
 
 def linearized_velocity(D: GridField) -> GridField:

@@ -34,6 +34,7 @@ __all__ = [
     "semigroup_apply",
     "semigroup_phi1",
     "sobolev_seminorm",
+    "spectrum_seminorm",
     "resample",
     "resample_field",
     "mode_amplitudes",
@@ -282,10 +283,17 @@ def sobolev_seminorm(f: GridField, s: float) -> float:
     the L2 norm of the field itself (0^0 = 1 keeps the mean in at s = 0;
     for s > 0 the seminorm ignores the mean).
     """
+    return spectrum_seminorm(f.spectrum, s)
+
+
+def spectrum_seminorm(spectrum: np.ndarray, s: float) -> float:
+    """sobolev_seminorm of the field whose unscaled (N, 2) transform, in
+    GridField.spectrum's layout, is spectrum."""
     if s < 0:
         raise ValueError(f"order must be nonnegative, got {s}")
-    c = f.spectrum / f.n
-    k = np.abs(_wavenumbers(f.n)).astype(float)
+    n = len(spectrum)
+    c = spectrum / n
+    k = np.abs(_wavenumbers(n)).astype(float)
     weights = np.ones_like(k) if s == 0 else k**s
     total = np.sum(weights[:, None] ** 2 * np.abs(c) ** 2)
     return float(np.sqrt(2.0 * np.pi * total))

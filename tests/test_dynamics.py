@@ -28,7 +28,7 @@ from ibstring import (
     step_rk4,
     well_stretched_constant,
 )
-from ibstring import dynamics
+from ibstring import dynamics, equilibrium
 from ibstring.curve import OrientationError
 from ibstring.dynamics import LambdaAbortError, NonFiniteError, diagnostics_row
 from ibstring.equilibrium import fit_distance
@@ -338,6 +338,19 @@ def test_diagnostics_row_matches_per_quantity_calls(rng):
     assert np.array(astuple(row)).view(np.uint64).tolist() == np.array(astuple(expected)).view(np.uint64).tolist()
 
 
+def test_diagnostics_row_makes_no_transform_and_no_circle(fft_calls, monkeypatch):
+    # the fit distances come from X's spectrum memo: once X' and X'' exist,
+    # a row transforms nothing and samples no fitted circle
+    circles = []
+    monkeypatch.setattr(equilibrium, "make_circle", lambda *args: circles.append(args))
+    X = relax_curve(3)
+    u = dynamics._resolved_velocity(X)
+    X.xp, X.xpp
+    fft_calls.clear()
+    diagnostics_row(0.0, X, u)
+    assert fft_calls == [] and circles == []
+
+
 def near_contact_curve(n: int, neck: float) -> CurveState:
     """A degree-3 trigonometric curve whose top and bottom, half a period
     apart in s, come within 2 neck / (1 + neck) of each other at x = 0."""
@@ -443,12 +456,12 @@ class TestResolvedVelocity:
 
     def test_fft_budget_per_relax_state(self, fft_calls):
         # every FFT of a relax_n1024 run, by sample count: per state one
-        # forward transform of X and of X - X* at N, inverse ones for X', X'',
-        # the padded velocity and phi1; at N_c the truncated curve, its X'
-        # and X'' take inverse transforms only, and the velocity one forward
+        # forward transform of X at N, inverse ones for X', X'', the padded
+        # velocity and phi1; at N_c the truncated curve, its X' and X'' take
+        # inverse transforms only, and the velocity one forward
         res = run(relax_curve(1), StepperConfig(dt=1e-2, t_end=0.4, snapshot_every=10))
         states = len(res.rows)
         sizes = [n for _, n in fft_calls]
         assert states == 41
-        assert sizes.count(1024) <= 6 * states
+        assert sizes.count(1024) <= 5 * states
         assert sizes.count(128) <= 4 * states

@@ -13,12 +13,14 @@ from ibstring import (
     linearized_velocity,
     make_circle,
     make_perturbed_circle,
+    make_reparam_circle,
     measure_decay_rate,
     mode_block,
     on_curve_velocity,
     sobolev_seminorm,
 )
 from ibstring.acceptance import CRITERIA, _theta_grid_search, _theta_objective, run_criterion
+from ibstring import equilibrium
 from ibstring.equilibrium import fit_distance
 
 from conftest import grid, random_band_limited, random_smooth_curve
@@ -155,6 +157,39 @@ class TestClosestEquilibrium:
                 other = make_circle(128, fit.radius, theta, fit.x_star)
                 d = sobolev_seminorm(GridField(Y.x.values - other.x.values), order)
                 assert d_star <= d + 1e-12
+
+
+class TestFitDistance:
+    @staticmethod
+    def sample_distance(Y, fit, order):
+        """The seminorm of Y - Y* from samples of the fitted circle."""
+        circle = make_circle(Y.n, fit.radius, fit.theta_star, fit.x_star)
+        return sobolev_seminorm(GridField(Y.x.values - circle.x.values), order)
+
+    @pytest.mark.parametrize("n", [64, 128, 1024])
+    def test_spectrum_matches_samples(self, rng, n):
+        # Y*'s modes 0 and +-1 replaced in Y's transform, against a transform
+        # of the sampled difference
+        curves = [random_smooth_curve(rng, n=n) for _ in range(3)]
+        curves += [*phase_shifted_curves(rng, 2, n), make_reparam_circle(n, 1.0, 0.5),
+                   make_reparam_circle(n, 1.0, 0.9)]
+        for Y in curves:
+            fit = closest_equilibrium(Y)
+            for order in (0.0, 1.0, 2.5):
+                expected = self.sample_distance(Y, fit, order)
+                assert abs(fit_distance(Y, fit, order) - expected) <= 1e-13 * expected
+
+    def test_samples_built_on_demand(self, monkeypatch):
+        # a fit makes no circle until its samples are read
+        Y = make_reparam_circle(64, 1.0, 0.5)
+        circles = []
+        monkeypatch.setattr(equilibrium, "make_circle", lambda *args: circles.append(args) or make_circle(*args))
+        fit = closest_equilibrium(Y)
+        fit_distance(Y, fit, 1.0)
+        assert circles == []
+        assert fit.x_star_samples is fit.x_star_samples and len(circles) == 1
+        assert np.array_equal(fit.x_star_samples.values,
+                              make_circle(64, fit.radius, fit.theta_star, fit.x_star).x.values)
 
 
 class TestFirstOrderResidual:

@@ -344,3 +344,70 @@ class TestPrunedWellStretched:
             evaluated.clear()
             well_stretched_constant(X)
             assert sum(evaluated) <= 0.25 * (X.n // 2)
+
+
+# ---------------------------------------------------------------------------
+# the pass seeded with the chord bounds another state's pass left
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The number of offsets of every _min_chord_sq call, in order."""
+    counts = []
+    chord_minima = curve._min_chord_sq
+
+    def counted(windows, xy, offsets, min_w2, work):
+        counts.append(len(offsets))
+        chord_minima(windows, xy, offsets, min_w2, work)
+
+    monkeypatch.setattr(curve, "_min_chord_sq", counted)
+    return counts
+
+
+def seeded(X: CurveState, source: CurveState) -> CurveState:
+    """A fresh state of X's samples whose pass starts from source's bounds."""
+    well_stretched_constant(source)
+    fresh = CurveState(X.x)
+    fresh.seed_well_stretched(source)
+    return fresh
+
+
+class TestCarriedWellStretched:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("scheme, dealias", [("exp_euler", False), ("rk4", False), ("exp_euler", True)],
+                             ids=["exp_euler", "rk4", "dealiased"])
+    def test_every_state_of_a_relax_run_bitwise(self, evaluated, seed, scheme, dealias):
+        # a run hands each state the previous state's bounds
+        cfg = StepperConfig(scheme=scheme, dt=0.01, t_end=0.4, dealias_enabled=dealias, snapshot_every=1)
+        res = run(relax_curve(seed), cfg)
+        assert len(res.snapshots) == len(res.rows) == 41
+        # a carry that never prunes would pass the check below; the first
+        # state takes the coarse level, about 45 offsets, the others 1 to 7
+        assert sum(evaluated) <= 4 * len(res.rows)
+        for (_, _, X), row in zip(res.snapshots, res.rows):
+            assert row.well_stretched == full_pair_well_stretched_constant(X)
+
+    def test_unrelated_source_bitwise(self, rng):
+        for n in (512, 1024):
+            for X in (random_smooth_curve(rng, n=n), make_reparam_circle(n, 1.0, 0.9), star_polygon(rng, n)):
+                for source in (X, random_smooth_curve(rng, n=n), make_reparam_circle(n, 2.0, 0.5),
+                               star_polygon(rng, n)):
+                    assert well_stretched_constant(seeded(X, source)) == full_pair_well_stretched_constant(X)
+
+    def test_source_of_another_n_is_ignored(self, evaluated):
+        X = relax_curve(2)
+        well_stretched_constant(CurveState(X.x))
+        unseeded = list(evaluated)
+        for m in (512, 2048):
+            evaluated.clear()
+            assert well_stretched_constant(seeded(X, relax_curve(2, m))) == well_stretched_constant(X)
+            assert evaluated[-len(unseeded):] == unseeded
+
+    def test_sources_near_the_double_range_limits_bitwise(self):
+        curves = [CurveState(GridField(scale * make_reparam_circle(1024, 1.0, beta).x.values))
+                  for scale in (1.0, 1e-150, 1e154, 3e154, 1e155) for beta in (0.0, 0.9)]
+        with np.errstate(over="ignore"):
+            full = [full_pair_well_stretched_constant(X) for X in curves]
+            for X, lam in zip(curves, full):
+                for source in curves:
+                    assert well_stretched_constant(seeded(X, source)) == lam
