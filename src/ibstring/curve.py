@@ -75,6 +75,17 @@ class CurveState:
         return _well_stretched_pass(self)
 
     @cached_property
+    def max_step(self) -> float:
+        """An upper bound on c = max_j |X(s_j+1) - X(s_j)|, the largest chord
+        between consecutive samples (s_N = s_0): the computed root inflated
+        by _MARGIN, or inf when a square overflows. Samples k apart are at
+        most |k| c apart; the well-stretched pass and the off-curve
+        nearest-sample search both bound chords with it."""
+        v = self.x.values
+        step = np.concatenate([v[1:], v[:1]]) - v
+        return float(np.sqrt(np.max(step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1]))) * (1.0 + _MARGIN)
+
+    @cached_property
     def area(self) -> float:
         """The signed area, unchecked (see enclosed_area)."""
         return _signed_area(self)
@@ -102,8 +113,8 @@ class CurveState:
         if self._chords is None:
             object.__setattr__(self, "_chords", other._chords)
 
-    def resampled(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Samples (X, X') of the band-limited curve truncated to m <= N
+    def resampled(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Samples (X, X', X'') of the band-limited curve truncated to m <= N
         points, each (m, 2), memoized by m (m = N gives the samples
         themselves).
 
@@ -113,7 +124,7 @@ class CurveState:
         """
         cached = self._resampled.get(m)
         if cached is None:
-            cached = (resample(self.x, m), resample(self.xp, m))
+            cached = (resample(self.x, m), resample(self.xp, m), resample(self.xpp, m))
             self._resampled[m] = cached
         return cached
 
@@ -302,7 +313,7 @@ def _pruned_pass(X: CurveState, seed: _ChordBounds | None, windows: np.ndarray, 
       bounds of small offsets fall to 0 within a few steps.
     - Otherwise the coarse level k = S, 2S, .. and N/2, S = N/64. For any
       offsets k and k', min_j |w(k')| >= sqrt(min_j |w(k)|^2) - |k' - k| c,
-      with c = max_j |X(s_j+1) - X(s_j)| the largest chord between
+      with c = X.max_step, the bound on the largest chord between
       consecutive samples, and each skipped offset takes the larger of the
       bounds from its nearest coarse offset on either side (offset 0, whose
       chord is zero, below S).
@@ -333,8 +344,7 @@ def _pruned_pass(X: CurveState, seed: _ChordBounds | None, windows: np.ndarray, 
         left = k - k % stride  # the nearest coarse offsets; offset 0 has the zero chord
         right = np.minimum(left + stride, m)
         root = np.concatenate(([0.0], roots()))
-        step = windows[:, 1] - xy
-        c = float(np.sqrt(np.max(step[0] * step[0] + step[1] * step[1]))) * (1.0 + _MARGIN)
+        c = X.max_step
         lb = np.maximum(root[left] - (k - left) * c, root[right] - (right - k) * c)
     lb = np.maximum(lb, 0.0) * (1.0 - _MARGIN)
     bound = lb * inv_tau

@@ -251,7 +251,8 @@ def mode_amplitudes(f: GridField) -> np.ndarray:
     coefficient, so a rotation of the field leaves it unchanged; read from
     the first half of f's transform."""
     c = f.spectrum[: f.n // 2 + 1] / f.n
-    return np.sqrt(np.sum(c.real**2 + c.imag**2, axis=1))
+    power = c.real**2 + c.imag**2
+    return np.sqrt(power[:, 0] + power[:, 1])  # a sum over the short axis is ~8x slower
 
 
 # A mode counts as rounding when it is at most this multiple of the field's

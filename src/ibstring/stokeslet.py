@@ -12,6 +12,9 @@ Off-curve velocity and pressure are batched over point blocks and written
 in complex variables: every off-curve point takes compensated (barycentric)
 Cauchy quadrature on the curve truncated to its resolved band, which stays
 at rounding level at any distance; see README for the accuracy envelope.
+Each point's nearest sample, which picks its side of the curve, comes from
+an exact two-level search that evaluates a fraction of the point-sample
+pairs.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import numpy as np
 
 from .curve import (
     _BLOCK_ROWS,
+    _MARGIN,
+    _PRUNE_FLOOR,
     CurveState,
     _offset_rows,
     _pair_blocks,
@@ -31,7 +36,7 @@ from .curve import (
     _torus_offsets,
     _workspace,
 )
-from .spectral import GridField, fractional_laplacian_half, resample, resolved_band, to_spectral
+from .spectral import GridField, fractional_laplacian_half, resolved_band, to_spectral
 
 __all__ = [
     "OnCurvePointError",
@@ -230,8 +235,7 @@ def _cauchy_flow(X: CurveState, z: np.ndarray, nearest: np.ndarray,
     """
     band = resolved_band(X.x)[0]
     m = min(X.n, max(16, 1 << (8 * band - 1).bit_length()))
-    xs, xps = X.resampled(m)
-    zeta, a, app = _complex(xs), _complex(xps), _complex(resample(X.xpp, m))
+    zeta, a, app = (_complex(v) for v in X.resampled(m))
     center = np.mean(zeta)
     w = (2.0 * np.pi / m) * a
     arm = np.conjugate(zeta - center)
@@ -270,31 +274,77 @@ def _cauchy_flow(X: CurveState, z: np.ndarray, nearest: np.ndarray,
     return u, p
 
 
+def _nearest_samples(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each point's nearest sample (the lowest index on a tie) and
+    its squared distance (x_j - x)^2 + (y_j - y)^2, bitwise an argmin over
+    all N samples, by an exact two-level search.
+
+    The samples are cut into runs of S = ceil(sqrt(N)) consecutive samples,
+    the last run ending at sample N - 1 (it may overlap the one before).
+    Every sample of a run lies within S // 2 samples, so within
+    r = (S // 2) c (c = X.max_step), of the run's middle sample. The coarse
+    level takes every point's squared distance to each middle sample; the
+    smallest, D, is a real sample's. A run whose middle sample lies farther
+    than sqrt(D) + r cannot hold a sample within sqrt(D), so only the other
+    runs are evaluated in full. Each float term of that test moves to its
+    safe side by _MARGIN, D is floored at _PRUNE_FLOOR (squares below it
+    may have underflowed), and an overflowed D prunes nothing. A point's
+    runs go in increasing sample order and no pair's arithmetic depends on
+    which others are evaluated, so the first smallest value is at the
+    lowest index, bit for bit.
+    """
+    n, size = X.n, math.isqrt(X.n - 1) + 1
+    first = np.arange(0, n, size)  # each run's first sample
+    first[-1] = n - size
+    xy = X.x.values.T
+    samples = np.concatenate([xy[:, : (len(first) - 1) * size], xy[:, n - size:]], axis=1)
+    samples = samples.reshape(2, len(first), size)
+    middle = samples[:, None, :, size // 2]
+    reach = (size // 2) * X.max_step
+    pxy = points.T[:, :, None]
+    nearest, d2 = np.empty(len(points), dtype=np.intp), np.empty(len(points))
+    step = max(1, _BLOCK_ENTRIES // len(first))  # points per chunk
+    pairs = max(1, _BLOCK_ENTRIES // size)  # (point, run) pairs per block of the fine level
+    coarse = np.empty((2, min(step, len(points)), len(first)))
+    index = np.empty(coarse.shape[1:], dtype=np.intp)
+    fine = np.empty((2, min(pairs, index.size), size))
+    for lo in range(0, len(points), step):
+        q = pxy[:, lo:lo + step]
+        w = np.subtract(middle, q, out=coarse[:, : q.shape[1]])
+        np.square(w, out=w)
+        d = np.add(w[0], w[1], out=w[0])
+        rows = np.arange(len(d))
+        r = np.sqrt(np.maximum(d[rows, d.argmin(axis=1)], _PRUNE_FLOOR)) * (1.0 + _MARGIN) + reach
+        flat = np.flatnonzero(d <= (r * r)[:, None])  # (point, run) pairs, point by point
+        for a in range(0, len(flat), pairs):
+            pt, rn = np.divmod(flat[a:a + pairs], len(first))
+            # rn is in range; "clip" spares the copy that "raise" makes with out
+            e = np.take(samples, rn, axis=1, out=fine[:, : len(pt)], mode="clip")
+            e -= q[:, pt]
+            np.square(e, out=e)
+            f = np.add(e[0], e[1], out=e[0])
+            j = f.argmin(axis=1)  # ties resolve to the lowest index
+            np.put(d, flat[a:a + pairs], f[np.arange(len(j)), j])
+            np.put(index, flat[a:a + pairs], first[rn] + j)
+        j = d.argmin(axis=1)
+        nearest[lo:lo + step], d2[lo:lo + step] = index[rows, j], d[rows, j]
+    return nearest, d2
+
+
 def sample_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Velocity (P, 2) and pressure (P,) at P points; NaN rows on the curve.
 
     A point that coincides with a sample gets a NaN row; every other point,
     however near the curve or far from it, goes to the compensated Cauchy
     evaluator _cauchy_flow. The nearest sample of each point, which decides
-    both, comes from one blocked pass over the N samples.
+    both, comes from the exact two-level search _nearest_samples. Raises
+    ValueError, naming the first one, on a non-finite point.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    px, py = points[:, 0].copy(), points[:, 1].copy()
-    vx, vy = X.x.values[:, 0].copy(), X.x.values[:, 1].copy()
-    nearest, d2 = np.empty(len(points), dtype=np.intp), np.empty(len(points))
-    step = max(1, _BLOCK_ENTRIES // X.n)
-    work = np.empty((2, min(step, len(points)), X.n))
-    for lo in range(0, len(points), step):
-        sx, sy = work[:, : min(step, len(points) - lo)]
-        # copy, then subtract in place: numpy's out-of-place broadcast is slower
-        for s, c, pc in ((sx, vx, px), (sy, vy, py)):
-            s[:] = c
-            s -= pc[lo:lo + step, None]
-            np.square(s, out=s)
-        sx += sy
-        j = np.argmin(sx, axis=1)  # ties resolve to the lowest index
-        nearest[lo:lo + step], d2[lo:lo + step] = j, sx[np.arange(len(j)), j]
-    del work
+    if not np.isfinite(points).all():
+        i = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
+        raise ValueError(f"evaluation point {i} is not finite: ({points[i, 0]!r}, {points[i, 1]!r})")
+    nearest, d2 = _nearest_samples(X, points)
     dist = np.sqrt(d2)
 
     u, p = np.full((len(points), 2), np.nan), np.full(len(points), np.nan)
@@ -312,13 +362,19 @@ def _at_point(X: CurveState, x: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def off_curve_velocity(X: CurveState, x: np.ndarray) -> np.ndarray:
-    """Flow velocity at a point off the curve: sample_flow's one-point case."""
+    """Flow velocity at a point off the curve: sample_flow's one-point case.
+
+    Raises OnCurvePointError at a sample and ValueError at a non-finite
+    point."""
     return _at_point(X, x)[0]
 
 
 def pressure_at(X: CurveState, x: np.ndarray) -> float:
     """Pressure at a point off the curve, in the zero-constant gauge (only
-    pressure differences are physical): sample_flow's one-point case."""
+    pressure differences are physical): sample_flow's one-point case.
+
+    Raises OnCurvePointError at a sample and ValueError at a non-finite
+    point."""
     return _at_point(X, x)[1]
 
 

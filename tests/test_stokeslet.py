@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from ibstring.stokeslet import (
     OnCurvePointError,
     _forcing_derivative_rows,
     _forcing_derivative_rows_direct,
+    _nearest_samples,
     _tau_factor,
     _velocity_rows,
 )
@@ -197,6 +199,21 @@ class TestOffCurveFlow:
         with pytest.raises(OnCurvePointError):
             pressure_at(X, X.x.values[0].copy())
 
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0), (np.inf, 0.0), (0.3, -np.inf)])
+    def test_non_finite_point_rejected(self, bad):
+        # before any search: the message names the first such point
+        X = make_circle(64)
+        points = np.array([[0.2, 0.1], bad, [np.nan, np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: sample_flow(X, points), lambda: off_curve_velocity(X, np.array(bad)),
+                         lambda: pressure_at(X, np.array(bad))):
+                with pytest.raises(ValueError, match="is not finite") as info:
+                    call()
+                assert not isinstance(info.value, OnCurvePointError)
+        with pytest.raises(ValueError, match="point 1 is not finite"):
+            sample_flow(X, points)
+
     def test_sample_flow_bundles_both(self):
         X = make_circle(128)
         u, p = sample_flow(X, np.array([[0.2, 0.1]]))
@@ -272,16 +289,40 @@ def direct_flow(X: CurveState, points: np.ndarray, m: int) -> tuple[np.ndarray, 
 
 
 def dense_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """direct_flow at each point on the fewest power-of-two M >= N samples with
-    M d/|X'| >= 48, d the distance to the curve and X' at the foot point: the
-    rule's error then decays like e^{-48}. Points nearer than 5e-5 |X'| would
-    need more than 1024 N samples and are refused."""
+    """direct_flow at each point, checked against itself: M starts at the
+    fewest power of two >= N/2 with M d/|X'| >= 24 (d the distance to the
+    curve, X' at the foot point) and doubles until the velocity sums on M
+    and 2M samples agree to 1e-13 of the curve's size (u scales like it
+    under dilation); the point takes the 2M sums. Where the first pair
+    agrees, that is the fewest power of two >= N with M d/|X'| >= 48.
+
+    That rule alone is a guess, not a bound: the sum converges like
+    e^{-M sigma}, with sigma the half-width of the strip where the integrand
+    is analytic, which is near d/|X'| only close to the curve (a lattice
+    point 0.6 off a random N = 64 curve, with M d/|X'| = 50.8, was 7.3e-11
+    off at M = 64). The pressure is left out of the check: near the curve
+    its sum's own rounding (terms up to h/d^2) lies above 1e-13 at any M.
+    Points nearer than 5e-5 |X'| would need more than 1024 N samples and
+    are refused.
+    """
     dist, speed = foot_distance(X, points)
     assert np.all(dist >= 5e-5 * speed)
-    m = np.maximum(X.n, 2 ** np.ceil(np.log2(48.0 * speed / dist))).astype(int)
+    m = np.maximum(X.n // 2, 2 ** np.ceil(np.log2(24.0 * speed / dist))).astype(int)
     u, p = np.empty((len(points), 2)), np.empty(len(points))
     for mm in np.unique(m):
         u[m == mm], p[m == mm] = direct_flow(X, points[m == mm], int(mm))
+    size = np.max(np.abs(X.x.values - np.mean(X.x.values, axis=0)))
+    todo = np.arange(len(points))
+    while todo.size:
+        assert m.max() <= 2048 * X.n
+        agree = np.zeros(len(points), dtype=bool)
+        groups = m[todo]
+        for mm in np.unique(groups):
+            rows = todo[groups == mm]
+            u2, p2 = direct_flow(X, points[rows], 2 * int(mm))
+            agree[rows] = np.max(np.abs(u2 - u[rows]), axis=1) <= 1e-13 * size
+            u[rows], p[rows], m[rows] = u2, p2, 2 * mm
+        todo = todo[~agree[todo]]
     return u, p
 
 
@@ -321,6 +362,52 @@ def far_ring() -> np.ndarray:
     return np.array([(r * np.cos(a), r * np.sin(a)) for r in (2.0, 4.0, 16.0, 100.0) for a in angle])
 
 
+def all_pairs_nearest(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The all-pairs pass the two-level search replaced, as sample_flow ran
+    it: the nearest sample of each point and its squared distance
+    (x_j - x)^2 + (y_j - y)^2 over every sample, in blocks of points, ties
+    to the lowest index (argmin)."""
+    px, py = points[:, 0].copy(), points[:, 1].copy()
+    vx, vy = X.x.values[:, 0].copy(), X.x.values[:, 1].copy()
+    nearest, d2 = np.empty(len(points), dtype=np.intp), np.empty(len(points))
+    step = max(1, 32 * 1024 // X.n)
+    work = np.empty((2, min(step, len(points)), X.n))
+    for lo in range(0, len(points), step):
+        sx, sy = work[:, : min(step, len(points) - lo)]
+        for s, c, pc in ((sx, vx, px), (sy, vy, py)):
+            s[:] = c
+            s -= pc[lo:lo + step, None]
+            np.square(s, out=s)
+        sx += sy
+        j = np.argmin(sx, axis=1)
+        nearest[lo:lo + step], d2[lo:lo + step] = j, sx[np.arange(len(j)), j]
+    return nearest, d2
+
+
+def assert_nearest_is_all_pairs(X: CurveState, points: np.ndarray) -> None:
+    nearest, d2 = _nearest_samples(X, points)
+    ref_nearest, ref_d2 = all_pairs_nearest(X, points)
+    assert np.array_equal(nearest, ref_nearest)
+    assert np.array_equal(d2, ref_d2)
+
+
+@pytest.fixture
+def search_pairs(monkeypatch):
+    """Point-sample pairs whose coordinate differences numpy squares: each
+    (2, points, samples) array squared holds one pair per entry. The
+    nearest-sample search squares every pair it evaluates this way."""
+    pairs = []
+    square = np.square
+
+    def counted(a, *args, **kwargs):
+        if a.ndim == 3 and len(a) == 2 and a.dtype == float:
+            pairs.append(a[0].size)
+        return square(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "square", counted)
+    return pairs
+
+
 def assert_rows_independent_of_blocks_and_order(X: CurveState, points: np.ndarray, rng, monkeypatch) -> None:
     """Each lattice row equals its one-point call and does not depend on the
     order of the points or on the block size, bit for bit."""
@@ -336,6 +423,80 @@ def assert_rows_independent_of_blocks_and_order(X: CurveState, points: np.ndarra
         monkeypatch.setattr(ibstring.stokeslet, "_BLOCK_ENTRIES", entries)
         ub, pb = sample_flow(X, points)
         assert np.array_equal(ub, u) and np.array_equal(pb, p)
+
+
+class TestNearestSampleSearch:
+    """The two-level search returns the all-pairs pass's nearest sample and
+    squared distance bit for bit, and evaluates a fraction of the pairs."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_field_lattices(self, seed):
+        assert_nearest_is_all_pairs(relax_curve(seed), field_lattice(80))
+
+    def test_near_lattice_and_far_ring(self, rng):
+        for X in (random_smooth_curve(rng, 64), relax_curve(2)):
+            assert_nearest_is_all_pairs(X, np.vstack([near_lattice(X), far_ring()]))
+
+    def test_uniform_circle_lattice_with_a_near_tie_at_the_centre(self):
+        # every sample of the circle is within rounding of 1 from (0, 0)
+        X = make_circle(1024)
+        axis = np.linspace(-1.05, 1.05, 41)
+        points = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        assert [0.0, 0.0] in points.tolist()
+        assert_nearest_is_all_pairs(X, points)
+
+    def test_lattices_that_hold_samples(self):
+        for X in (make_circle(64), relax_curve(1)):
+            points = np.vstack([field_lattice(20), X.x.values[::5], X.x.values[[0, -1]]])
+            assert_nearest_is_all_pairs(X, points)
+            assert np.sum(_nearest_samples(X, points)[1] == 0.0) >= len(X.x.values[::5]) + 2
+
+    @pytest.mark.parametrize("n", [8, 10, 1000, 1026])
+    def test_sample_counts_with_a_short_last_run(self, n):
+        # S = ceil(sqrt(N)) does not divide these N, so the last run
+        # overlaps the one before it
+        assert n % (math.isqrt(n - 1) + 1) != 0
+        X = make_perturbed_circle(n, 1.0, [PerturbationMode(3, 0.05, 0.02, 0.3, 1.1)])
+        axis = np.linspace(-1.1, 1.1, 23)
+        points = np.vstack([np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2),
+                            X.x.values, 0.5 * (X.x.values + np.roll(X.x.values, -1, axis=0)), far_ring()])
+        assert_nearest_is_all_pairs(X, points)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1e-100, 1e-50, 1e25, 1e50, 1e75])
+    def test_scaled_circles(self, scale):
+        # at 1e-150 the squares sit below the pruning floor, at 1e-160 they
+        # are subnormal, and at 1e75 near 1e150
+        for X in (make_circle(1024), relax_curve(1)):
+            scaled = CurveState(GridField(scale * X.x.values))
+            assert_nearest_is_all_pairs(scaled, scale * np.vstack([field_lattice(30), near_lattice(X)]))
+
+    def test_clockwise_curve(self):
+        X = relax_curve(3)
+        clockwise = CurveState(GridField(X.x.values[::-1]))
+        assert_nearest_is_all_pairs(clockwise, np.vstack([field_lattice(40), near_lattice(X)]))
+
+    def test_overflowing_squares(self):
+        # every square overflows at 1e300: each distance is inf, and the
+        # nearest sample is the first, as in the all-pairs pass
+        X = relax_curve(1)
+        points = np.array([[1e300, 0.0], [0.3, 0.2], [-1e300, 1e300], [0.0, -1e155], [1e154, 0.0]])
+        with np.errstate(over="ignore"):
+            assert_nearest_is_all_pairs(X, points)
+            nearest, d2 = _nearest_samples(X, points)
+        assert nearest[0] == 0 and np.isinf(d2[[0, 2, 3]]).all() and np.isfinite(d2[[1, 4]]).all()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_field_lattice_evaluates_at_most_a_fifth_of_the_pairs(self, seed, search_pairs):
+        X, points = relax_curve(seed), field_lattice(80)
+        _nearest_samples(X, points)
+        assert 0 < sum(search_pairs) <= 0.2 * len(points) * X.n
+
+    def test_one_point_evaluates_few_runs(self, search_pairs):
+        # the coarse level plus the runs within reach of the nearest middle
+        # sample: the run holding the foot point and its neighbours
+        X = relax_curve(1)
+        _nearest_samples(X, np.array([[0.9, 0.3]]))
+        assert sum(search_pairs) <= 32 + 3 * 32
 
 
 class TestBatchedOffCurveFlow:
