@@ -2,9 +2,8 @@
 
 Each criterion is a self-contained check returning a CheckResult; the
 registry drives both the verify subcommand and the acceptance test module.
-The quick criteria run in about 1 s and the full set in about 14 s (shared
-2-core Xeon VM, Python 3.11, numpy 2.4; criterion 8's phase search is about
-0.25 s of the quick run).
+The quick criteria run in about 0.5 s and the full set in about 7 s (shared
+2-core Xeon VM, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -18,6 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .curve import (
+    _MARGIN,
+    _PRUNE_FLOOR,
     CurveState,
     PerturbationMode,
     make_circle,
@@ -247,29 +248,70 @@ def _theta_objective(X: CurveState, fit: EquilibriumFit, thetas: np.ndarray) -> 
     rows c, i c and -z: [Re c, Im c], [-Im c, Re c] and [-Re z, -Im z] with
     the pairs interleaved, so the product is the residuals' float view, whose
     rows are summed as squares. A block holds 65,536/N angles, a (block, 2N)
-    temporary of 1 MB (512 angles at N = 128).
+    temporary of 1 MB (512 angles at N = 128). Every product has at least two
+    rows: numpy hands a one-row product to gemv, which rounds differently, so
+    an angle's value does not depend on the block it falls in.
     """
     dev = X.x.values - fit.x_star[None, :]
     circle = fit.radius * np.exp(1j * X.s)
     table = np.stack([circle, 1j * circle, -(dev[:, 0] + 1j * dev[:, 1])]).view(np.float64)
     step = max(1, 65_536 // X.n)
-    rotations = np.ones((min(step, len(thetas)), 3))
+    rotations = np.ones((max(2, min(step, len(thetas))), 3))
     work = np.empty((len(rotations), 2 * X.n))
     obj = np.empty(len(thetas))
     for lo in range(0, len(thetas), step):
         chunk = thetas[lo:lo + step]
-        rot, flat = rotations[: len(chunk)], work[: len(chunk)]
-        rot[:, 0], rot[:, 1] = np.cos(chunk), np.sin(chunk)
+        rows = max(2, len(chunk))
+        rot, flat = rotations[:rows], work[:rows]
+        rot[: len(chunk), 0], rot[: len(chunk), 1] = np.cos(chunk), np.sin(chunk)
         np.matmul(rot, table, out=flat)
-        obj[lo:lo + step] = np.einsum("ij,ij->i", flat, flat)
+        obj[lo:lo + step] = np.einsum("ij,ij->i", flat[: len(chunk)], flat[: len(chunk)])
     return obj
 
 
+# Criterion 8's phase grid, and the stride of its search's coarse level (a divisor).
+_PHASES = 100_000
+_PHASE_STRIDE = 100
+
+
 def _theta_grid_search(X: CurveState, fit: EquilibriumFit) -> float:
-    """Brute-force minimizer of the discrete L2 fit objective over 100,000
-    evenly spaced phases in [0, 2pi); ties go to the smallest angle."""
-    thetas = np.linspace(0.0, 2 * np.pi, 100_000, endpoint=False)
-    return float(thetas[np.argmin(_theta_objective(X, fit, thetas))])
+    """Minimizer of the discrete L2 fit objective over 100,000 evenly spaced
+    phases in [0, 2pi); ties go to the smallest angle. Bitwise the argmin of
+    _theta_objective over every phase, by an exact two-level search.
+
+    For angles theta and theta' the residuals r = e^{i theta} c - z differ by
+    (e^{i theta} - e^{i theta'}) c, so |r(theta)| >= |r(theta')| - |theta -
+    theta'| |c|, with |c| = R sqrt(N). The coarse level evaluates every S-th
+    phase, S = _PHASE_STRIDE; an angle inside the interval between two
+    coarse phases a and b, S steps apart (the last interval wraps to phase
+    0), lies t and S - t steps from them, so its |r| is at least the mean of
+    the two bounds, (|r_a| + |r_b| - S step |c|)/2. Only the intervals whose
+    bound can reach the smallest coarse value are evaluated in full. Each
+    float term of the bound moves to its safe side by _MARGIN (more than the
+    relative rounding of the 2N-term sums, at most N eps, below N = 4,000),
+    an absolute slack _MARGIN (|c| + |z|) covers the rounding of the
+    residuals and of the phases, which does not shrink with O (an exact
+    circle's minimum is at rounding level), and the smallest coarse value is
+    floored at _PRUNE_FLOOR (smaller squares may have underflowed). A pruned
+    angle's value thus exceeds the smallest coarse value, so it is neither
+    the minimum nor a tie, and every evaluated angle takes the bits it takes
+    in a scan of all phases. The bound reads no Fourier coefficient of X, so
+    the check stays independent of the closed form the fit reads theta* from.
+    """
+    thetas = np.linspace(0.0, 2 * np.pi, _PHASES, endpoint=False)
+    obj = np.full(_PHASES, np.inf)  # inf at the pruned phases
+    coarse = np.arange(0, _PHASES, _PHASE_STRIDE)
+    obj[coarse] = _theta_objective(X, fit, thetas[coarse])
+    c_norm = fit.radius * math.sqrt(X.n) * (1.0 + _MARGIN)
+    slack = _MARGIN * (c_norm + float(np.linalg.norm(X.x.values - fit.x_star)))
+    reach = _PHASE_STRIDE * (2 * np.pi / _PHASES) * c_norm * (1.0 + _MARGIN)
+    ends = np.sqrt(obj[coarse]) * (1.0 - _MARGIN)
+    bound = (0.5 * (ends + np.roll(ends, -1)) - 0.5 * reach) * (1.0 - _MARGIN) - slack
+    best = np.sqrt(np.maximum(np.min(obj[coarse]), _PRUNE_FLOOR)) * (1.0 + _MARGIN)
+    kept = np.flatnonzero(~(bound > best))  # a NaN bound prunes nothing
+    fine = (coarse[kept, None] + np.arange(1, _PHASE_STRIDE)).ravel()
+    obj[fine] = _theta_objective(X, fit, thetas[fine])
+    return float(thetas[np.argmin(obj)])
 
 
 def _c8_fit_quality():

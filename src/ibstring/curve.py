@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .spectral import GridField, NonFiniteFieldError, derivative, resample, sobolev_seminorm
+from .spectral import GridField, NonFiniteFieldError, derivative, sobolev_seminorm
 
 __all__ = [
     "CurveState",
@@ -41,6 +41,9 @@ class DegenerateCurveError(ValueError):
     """Two samples coincide (or the tangent X' vanished) at grid resolution."""
 
 
+_T = TypeVar("_T")
+
+
 @dataclass(frozen=True)
 class CurveState:
     """Sampled string configuration; X', X'', the well-stretched constant
@@ -54,8 +57,8 @@ class CurveState:
     x: GridField
 
     def __post_init__(self) -> None:
-        # memo of resampled() keyed by sample count
-        object.__setattr__(self, "_resampled", {})
+        # memo of derived() keyed by builder
+        object.__setattr__(self, "_derived", {})
         # the _ChordBounds the well-stretched pass starts from, then the ones it leaves
         object.__setattr__(self, "_chords", None)
 
@@ -113,19 +116,13 @@ class CurveState:
         if self._chords is None:
             object.__setattr__(self, "_chords", other._chords)
 
-    def resampled(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Samples (X, X', X'') of the band-limited curve truncated to m <= N
-        points, each (m, 2), memoized by m (m = N gives the samples
-        themselves).
-
-        Truncation drops the modes above m/2, so callers keep it to curves
-        whose dropped modes are rounding-level (spectral.resolved_band), as
-        the off-curve evaluator stokeslet._cauchy_flow does.
-        """
-        cached = self._resampled.get(m)
+    def derived(self, build: Callable[[CurveState], _T]) -> _T:
+        """build(self), memoized by build: curve-only work that another
+        module derives from the samples, held on the state like X' (the
+        off-curve evaluator's setup, stokeslet._cauchy_setup)."""
+        cached = self._derived.get(build)
         if cached is None:
-            cached = (resample(self.x, m), resample(self.xp, m), resample(self.xpp, m))
-            self._resampled[m] = cached
+            cached = self._derived[build] = build(self)
         return cached
 
 

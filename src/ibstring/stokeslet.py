@@ -20,7 +20,7 @@ pairs.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .curve import (
     _torus_offsets,
     _workspace,
 )
-from .spectral import GridField, fractional_laplacian_half, resolved_band, to_spectral
+from .spectral import GridField, fractional_laplacian_half, resample, resolved_band, to_spectral
 
 __all__ = [
     "OnCurvePointError",
@@ -179,33 +179,94 @@ def _boundary_values(zeta: np.ndarray, a: np.ndarray, g: np.ndarray, g_prime: np
 _NEWTON_STEPS = 3
 
 
-def _inside(X: CurveState, z: np.ndarray, nearest: np.ndarray, dist: np.ndarray, band: int,
-            coef: np.ndarray, orientation: float) -> np.ndarray:
+class _CauchySetup(NamedTuple):
+    """The curve-only part of the off-curve evaluator, built once per state
+    by _cauchy_setup and held on it (CurveState.derived).
+
+    zeta and w are the M_c samples and weights h X' as complex numbers and
+    center their mean. sides holds (phi, q, shift) for the points inside and
+    outside: the boundary values Phi^+ or Phi^-, the (M_c, 3) product
+    columns [w, phi w] and the shift of the denominator's imaginary part.
+    modes and foot are the mode numbers k and the (2K + 1, 3) coefficients
+    of X, X' and X'' in e^{iks} for _inside's Newton steps. A point farther
+    than disc_radius from disc_center lies outside the curve.
+    """
+
+    zeta: np.ndarray
+    w: np.ndarray
+    center: complex
+    sides: tuple
+    modes: np.ndarray
+    foot: np.ndarray
+    orientation: float
+    disc_center: complex
+    disc_radius: float
+
+
+def _cauchy_setup(X: CurveState) -> _CauchySetup:
+    """_cauchy_flow's and _inside's curve-only work: the resolved band K and
+    M_c, the truncated curve, the boundary values (_boundary_values), the
+    product columns of both sides, the foot-point coefficients and the
+    bounding disc.
+
+    The disc is centred at the samples' mean, and its radius is their
+    largest distance from it plus X.max_step (room for the band-limited
+    curve between samples), inflated by _MARGIN. From about 1e16 times the
+    curve's size every squared sample distance of a point rounds to the
+    same value, so its nearest sample, and the tangent _inside would read
+    there, are arbitrary; the disc places such points outside.
+    """
+    band = resolved_band(X.x)[0]
+    m = min(X.n, max(16, 1 << (8 * band - 1).bit_length()))
+    zeta, a, app = (_complex(resample(v, m)) for v in (X.x, X.xp, X.xpp))
+    center = np.mean(zeta)
+    w = (2.0 * np.pi / m) * a
+    arm = np.conjugate(zeta - center)
+    g = np.stack([a, arm * a]).T  # the densities a and gb
+    g_prime = np.stack([app, a.real * a.real + a.imag * a.imag + arm * app]).T
+    outer = _boundary_values(zeta, a, g, g_prime)
+    orientation = 1.0 if X.area >= 0.0 else -1.0
+    sides = tuple(
+        (phi, np.column_stack([w, phi * w[:, None]]), shift)  # q: den and the two numerators of Phi
+        for phi, shift in ((outer + orientation * g, 0.0), (outer, orientation * 2.0 * np.pi))
+    )
+    spec = to_spectral(X.x)
+    coef = spec[:, 0] + 1j * spec[:, 1]
+    modes = np.arange(-min(band, X.n // 2 - 1), min(band, X.n // 2 - 1) + 1)
+    c = coef[modes]
+    foot = np.stack([c, 1j * modes * c, -(modes * modes) * c]).T  # X, X', X'' from e^{iks}
+    samples = _complex(X.x.values)
+    disc_center = np.mean(samples)
+    disc_radius = (float(np.max(np.abs(samples - disc_center))) + X.max_step) * (1.0 + _MARGIN)
+    return _CauchySetup(zeta, w, center, sides, modes, foot, orientation, disc_center, disc_radius)
+
+
+def _inside(X: CurveState, z: np.ndarray, nearest: np.ndarray, dist: np.ndarray,
+            setup: _CauchySetup) -> np.ndarray:
     """Whether each point z lies in the bounded region of the curve.
 
-    The side is the sign of (z - zeta) x X' at the point's nearest sample.
+    A point beyond the curve's bounding disc lies outside. Otherwise the
+    side is the sign of (z - zeta) x X' at the point's nearest sample.
     Within h|X'| of the curve, the sample is first moved to the foot point
     of z on the band-limited curve (modes |k| <= K) by Newton steps on
     (X(s) - z) . X'(s) = 0 from the sample's s; there the nearest sample's
-    tangent line can lie on the other side of z. orientation is +1 for a
-    counterclockwise curve, whose bounded region lies to the left of X'.
+    tangent line can lie on the other side of z. The orientation is +1 for
+    a counterclockwise curve, whose bounded region lies to the left of X'.
     """
     zeta, b = _complex(X.x.values)[nearest], _complex(X.xp.values)[nearest]
     close = np.flatnonzero(dist < X.h * np.abs(b))
     if close.size:
-        k = np.arange(-min(band, X.n // 2 - 1), min(band, X.n // 2 - 1) + 1)
-        c = coef[k]
-        q = np.stack([c, 1j * k * c, -(k * k) * c]).T  # X, X', X'' from e^{iks}
         s, zc = X.s[nearest[close]], z[close]
         for step in range(_NEWTON_STEPS + 1):
-            xi, dxi, ddxi = _row_sums(np.exp(1j * np.outer(s, k)), q).T
+            xi, dxi, ddxi = _row_sums(np.exp(1j * np.outer(s, setup.modes)), setup.foot).T
             if step < _NEWTON_STEPS:
                 r = xi - zc
                 slope = dxi.real * dxi.real + dxi.imag * dxi.imag + r.real * ddxi.real + r.imag * ddxi.imag
                 s = s - (r.real * dxi.real + r.imag * dxi.imag) / slope
         zeta[close], b[close] = xi, dxi
     r = z - zeta
-    return orientation * (r.real * b.imag - r.imag * b.real) < 0.0
+    within = np.abs(z - setup.disc_center) <= setup.disc_radius
+    return within & (setup.orientation * (r.real * b.imag - r.imag * b.real) < 0.0)
 
 
 def _cauchy_flow(X: CurveState, z: np.ndarray, nearest: np.ndarray,
@@ -222,10 +283,10 @@ def _cauchy_flow(X: CurveState, z: np.ndarray, nearest: np.ndarray,
     for gb = conj(zeta - c) a and c the curve's mean. M_c is the smallest
     power of two that is at least 16 and 8K, at most N: the densities a and
     gb have band 2K, so M_c passes the tail test on them. The boundary
-    values Phi^- come from _boundary_values once per call, and Phi^+ =
-    Phi^- + o g inside, o = 1 for a counterclockwise curve and -1 for a
-    clockwise one (the sign of its enclosed area). With w = h a, a point
-    takes Phi = sum Phi^+-_k w_k/(zeta_k - z) / den and
+    values Phi^- come from _boundary_values once per state (_cauchy_setup),
+    and Phi^+ = Phi^- + o g inside, o = 1 for a counterclockwise curve and
+    -1 for a clockwise one (the sign of its enclosed area). With w = h a, a
+    point takes Phi = sum Phi^+-_k w_k/(zeta_k - z) / den and
     Phi' = sum (Phi^+-_k - Phi) w_k/(zeta_k - z)^2 / den, den the sum of
     w_k/(zeta_k - z), less o 2pi i outside. Numerator and denominator carry
     the same quadrature error near the curve, so the quotient stays at
@@ -233,24 +294,14 @@ def _cauchy_flow(X: CurveState, z: np.ndarray, nearest: np.ndarray,
     (_row_sums), and the point-only arithmetic is real, so a row is bitwise
     the same in any block.
     """
-    band = resolved_band(X.x)[0]
-    m = min(X.n, max(16, 1 << (8 * band - 1).bit_length()))
-    zeta, a, app = (_complex(v) for v in X.resampled(m))
-    center = np.mean(zeta)
-    w = (2.0 * np.pi / m) * a
-    arm = np.conjugate(zeta - center)
-    g = np.stack([a, arm * a]).T  # the densities a and gb
-    g_prime = np.stack([app, a.real * a.real + a.imag * a.imag + arm * app]).T
-    outer = _boundary_values(zeta, a, g, g_prime)
-    orientation = 1.0 if X.area >= 0.0 else -1.0
-    spec = to_spectral(X.x)
-    inside = _inside(X, z, nearest, dist, band, spec[:, 0] + 1j * spec[:, 1], orientation)
+    setup = X.derived(_cauchy_setup)
+    zeta, w, center = setup.zeta, setup.w, setup.center
+    inside = _inside(X, z, nearest, dist, setup)
 
     u, p = np.empty((len(z), 2)), np.empty(len(z))
-    step = max(1, _BLOCK_ENTRIES // m)
-    work = np.empty((4, min(step, len(z)), m), dtype=complex)
-    for side, phi, shift in ((inside, outer + orientation * g, 0.0), (~inside, outer, orientation * 2.0 * np.pi)):
-        q = np.column_stack([w, phi * w[:, None]])  # (M, 3): den and the two numerators of Phi
+    step = max(1, _BLOCK_ENTRIES // len(zeta))
+    work = np.empty((4, min(step, len(z)), len(zeta)), dtype=complex)
+    for side, (phi, q, shift) in zip((inside, ~inside), setup.sides):
         group = np.flatnonzero(side)
         for lo in range(0, len(group), step):
             idx = group[lo:lo + step]
@@ -311,21 +362,22 @@ def _nearest_samples(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.
     for lo in range(0, len(points), step):
         q = pxy[:, lo:lo + step]
         w = np.subtract(middle, q, out=coarse[:, : q.shape[1]])
-        np.square(w, out=w)
-        d = np.add(w[0], w[1], out=w[0])
-        rows = np.arange(len(d))
-        r = np.sqrt(np.maximum(d[rows, d.argmin(axis=1)], _PRUNE_FLOOR)) * (1.0 + _MARGIN) + reach
-        flat = np.flatnonzero(d <= (r * r)[:, None])  # (point, run) pairs, point by point
-        for a in range(0, len(flat), pairs):
-            pt, rn = np.divmod(flat[a:a + pairs], len(first))
-            # rn is in range; "clip" spares the copy that "raise" makes with out
-            e = np.take(samples, rn, axis=1, out=fine[:, : len(pt)], mode="clip")
-            e -= q[:, pt]
-            np.square(e, out=e)
-            f = np.add(e[0], e[1], out=e[0])
-            j = f.argmin(axis=1)  # ties resolve to the lowest index
-            np.put(d, flat[a:a + pairs], f[np.arange(len(j)), j])
-            np.put(index, flat[a:a + pairs], first[rn] + j)
+        with np.errstate(over="ignore"):  # an overflowed square is inf, as in an all-pairs pass
+            np.square(w, out=w)
+            d = np.add(w[0], w[1], out=w[0])
+            rows = np.arange(len(d))
+            r = np.sqrt(np.maximum(d[rows, d.argmin(axis=1)], _PRUNE_FLOOR)) * (1.0 + _MARGIN) + reach
+            flat = np.flatnonzero(d <= (r * r)[:, None])  # (point, run) pairs, point by point
+            for a in range(0, len(flat), pairs):
+                pt, rn = np.divmod(flat[a:a + pairs], len(first))
+                # rn is in range; "clip" spares the copy that "raise" makes with out
+                e = np.take(samples, rn, axis=1, out=fine[:, : len(pt)], mode="clip")
+                e -= q[:, pt]
+                np.square(e, out=e)
+                f = np.add(e[0], e[1], out=e[0])
+                j = f.argmin(axis=1)  # ties resolve to the lowest index
+                np.put(d, flat[a:a + pairs], f[np.arange(len(j)), j])
+                np.put(index, flat[a:a + pairs], first[rn] + j)
         j = d.argmin(axis=1)
         nearest[lo:lo + step], d2[lo:lo + step] = index[rows, j], d[rows, j]
     return nearest, d2

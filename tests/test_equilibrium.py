@@ -20,7 +20,7 @@ from ibstring import (
     sobolev_seminorm,
 )
 from ibstring.acceptance import CRITERIA, _theta_grid_search, _theta_objective, run_criterion
-from ibstring import equilibrium
+from ibstring import acceptance, equilibrium
 from ibstring.equilibrium import fit_distance
 
 from conftest import grid, random_band_limited, random_smooth_curve
@@ -53,9 +53,18 @@ def rotation_objective_oracle(X, fit, thetas):
 
 
 def criterion_8_members(count: int = 10):
-    """The first members of criterion 8's ensemble, the ones it grid-searches."""
+    """The first members of criterion 8's ensemble (the first 10 are the ones
+    it grid-searches)."""
     rng = np.random.default_rng(8)
     return [random_smooth_curve(rng, 128, amp=0.01) for _ in range(count)]
+
+
+def dense_phase_scan(X, fit) -> float:
+    """The dense scan the two-level search replaced, as criterion 8 ran it:
+    the argmin of _theta_objective over all 100,000 phases in [0, 2pi), ties
+    to the smallest angle."""
+    thetas = np.linspace(0.0, 2 * np.pi, 100_000, endpoint=False)
+    return float(thetas[np.argmin(_theta_objective(X, fit, thetas))])
 
 
 class TestClosestEquilibrium:
@@ -157,6 +166,73 @@ class TestClosestEquilibrium:
                 other = make_circle(128, fit.radius, theta, fit.x_star)
                 d = sobolev_seminorm(GridField(Y.x.values - other.x.values), order)
                 assert d_star <= d + 1e-12
+
+
+@pytest.fixture
+def searched_phases(monkeypatch):
+    """Number of phases each _theta_objective call evaluates, in order; the
+    phase search evaluates every phase through it."""
+    counts = []
+    objective = acceptance._theta_objective
+
+    def counted(X, fit, thetas):
+        counts.append(len(thetas))
+        return objective(X, fit, thetas)
+
+    monkeypatch.setattr(acceptance, "_theta_objective", counted)
+    return counts
+
+
+def assert_search_is_dense_scan(curves) -> None:
+    for X in curves:
+        fit = closest_equilibrium(X)
+        assert _theta_grid_search(X, fit) == dense_phase_scan(X, fit)
+
+
+class TestPhaseSearch:
+    """The two-level phase search returns the dense scan's angle bit for bit
+    and evaluates a small share of the 100,000 phases."""
+
+    def test_all_criterion_8_members(self):
+        assert_search_is_dense_scan(criterion_8_members(100))
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_exact_circles(self, n):
+        # the minimum is at rounding level and the bound is tight: sqrt O is
+        # |c| |e^{i theta} - e^{i theta*}|. Phases a tenth and a fifth of a
+        # coarse step past a coarse phase, halfway between two, and on one
+        step = 2 * np.pi / 1000
+        phases = [(k + f) * step for k, f in ((0, 0.1), (137, 0.2), (500, 0.5), (999, 0.9), (731, 0.0))]
+        assert_search_is_dense_scan(make_circle(n, 1.3, theta, (0.2, -0.1)) for theta in phases)
+
+    def test_random_curves_at_n_256(self, rng):
+        assert_search_is_dense_scan([random_smooth_curve(rng, 256), *phase_shifted_curves(rng, 3, 256)])
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-120, 1e-100, 1e100, 1e150])
+    def test_scaled_copies(self, scale):
+        # at 1e-150 the values sit below the pruning floor and nothing is
+        # pruned; at 1e-120 they lie just above it, and at 1e150 near 1e300
+        curves = [*criterion_8_members(3), make_circle(128, 1.0, 0.4)]
+        assert_search_is_dense_scan(CurveState(GridField(scale * X.x.values)) for X in curves)
+
+    def test_objective_bits_independent_of_the_block(self, rng):
+        # the search evaluates subsets of the phases, down to a block of one
+        X = criterion_8_members(1)[0]
+        fit = closest_equilibrium(X)
+        thetas = np.linspace(0.0, 2 * np.pi, 100_000, endpoint=False)
+        full = _theta_objective(X, fit, thetas)
+        for i in range(0, len(thetas), 997):  # one-phase blocks (numpy's gemv rounds some differently)
+            assert _theta_objective(X, fit, thetas[i:i + 1])[0] == full[i]
+        for size in (2, 3, 99, 513, 1000, 1025):
+            for _ in range(5):
+                idx = np.sort(rng.choice(len(thetas), size, replace=False))
+                assert np.array_equal(_theta_objective(X, fit, thetas[idx]), full[idx])
+
+    def test_criterion_8_evaluates_at_most_three_percent(self, searched_phases):
+        for X in criterion_8_members():
+            searched_phases.clear()
+            _theta_grid_search(X, closest_equilibrium(X))
+            assert 1000 <= sum(searched_phases) <= 0.03 * 100_000
 
 
 class TestFitDistance:

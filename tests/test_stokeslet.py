@@ -28,7 +28,7 @@ from ibstring import (
     pressure_at,
     sample_flow,
 )
-from ibstring.spectral import derivative, fractional_laplacian_half, resample, resolved_band, to_spectral
+from ibstring.spectral import derivative, fractional_laplacian_half, resample, to_spectral
 from ibstring.stokeslet import (
     OnCurvePointError,
     _forcing_derivative_rows,
@@ -213,6 +213,45 @@ class TestOffCurveFlow:
                 assert not isinstance(info.value, OnCurvePointError)
         with pytest.raises(ValueError, match="point 1 is not finite"):
             sample_flow(X, points)
+
+    @pytest.mark.parametrize("d", [1e8, 1e16, 1e17, 1e40, 1e75])
+    def test_far_rows_mirror_each_other(self, d):
+        # the uniform circle is symmetric under x -> -x and y -> -y, so each
+        # row equals its mirror row up to sign. From about 1e16 times the
+        # curve's size every squared sample distance rounds to the same
+        # value, and the nearest sample no longer tells the side
+        X = make_circle(64)
+        points = np.array([[d, 0.0], [-d, 0.0], [d, -1.0], [-d, -1.0],
+                           [0.0, d], [0.0, -d], [-1.0, d], [-1.0, -d]])
+        u, p = sample_flow(X, points)
+        rows = np.abs(np.column_stack([u, p]))
+        assert np.max(np.abs(rows[0::2] - rows[1::2])) <= 1e-12 / d
+
+    def test_points_whose_squares_overflow_are_silent(self):
+        # beyond about 1.3e154 the squared sample distances overflow to inf
+        X = make_circle(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, p = sample_flow(X, np.array([[1e160, 0.0], [-1e160, 0.0]]))
+        assert np.max(np.abs(u)) <= 1e-170 and np.max(np.abs(p)) <= 1e-170
+        assert np.max(np.abs(np.abs(u[0]) - np.abs(u[1]))) <= 1e-180
+
+    def test_curve_only_work_runs_once_per_state(self, monkeypatch):
+        calls = []
+        boundary_values = ibstring.stokeslet._boundary_values
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return boundary_values(*args)
+
+        monkeypatch.setattr(ibstring.stokeslet, "_boundary_values", counted)
+        X = make_perturbed_circle(256, 1.0, [PerturbationMode(3, 0.05, 0.02)])
+        rows = [off_curve_velocity(X, np.array([x, 0.1])) for x in (0.2, 0.9, 1.3)]
+        pressure_at(X, np.array([0.2, 0.1]))
+        assert len(calls) == 1
+        fresh = CurveState(GridField(X.x.values.copy()))
+        assert off_curve_velocity(fresh, np.array([0.9, 0.1])).tolist() == rows[1].tolist()
+        assert len(calls) == 2
 
     def test_sample_flow_bundles_both(self):
         X = make_circle(128)
@@ -664,9 +703,8 @@ class TestCauchyEvaluator:
         dist = np.abs(z - v[nearest])
         r, b = z - v[nearest], X.xp.values[nearest, 0] + 1j * X.xp.values[nearest, 1]
         assert np.all((r.conj() * b).imag[: X.n] < 0.0)  # the tangent line alone says inside
-        band = resolved_band(X.x)[0]
-        c = to_spectral(X.x)
-        inside = ibstring.stokeslet._inside(X, z, nearest, dist, band, c[:, 0] + 1j * c[:, 1], 1.0)
+        setup = X.derived(ibstring.stokeslet._cauchy_setup)
+        inside = ibstring.stokeslet._inside(X, z, nearest, dist, setup)
         assert not inside[: X.n].any() and inside[X.n:].all()
 
 
