@@ -17,10 +17,10 @@ from typing import Callable
 import numpy as np
 
 from .curve import (
-    _MARGIN,
-    _PRUNE_FLOOR,
     CurveState,
     PerturbationMode,
+    _kept,
+    _safe,
     make_circle,
     make_perturbed_circle,
     make_reparam_circle,
@@ -286,30 +286,24 @@ def _theta_grid_search(X: CurveState, fit: EquilibriumFit) -> float:
     coarse phases a and b, S steps apart (the last interval wraps to phase
     0), lies t and S - t steps from them, so its |r| is at least the mean of
     the two bounds, (|r_a| + |r_b| - S step |c|)/2. Only the intervals whose
-    bound can reach the smallest coarse value are evaluated in full. Each
-    float term of the bound moves to its safe side by _MARGIN (more than the
-    relative rounding of the 2N-term sums, at most N eps, below N = 4,000),
-    an absolute slack _MARGIN (|c| + |z|) covers the rounding of the
+    bound curve._kept keeps against the smallest coarse value are evaluated
+    in full, and every evaluated angle takes the bits it takes in a scan of
+    all phases. Each term of the bound moves to its safe side (curve._safe),
+    and the bound by a further margin times |c| + |z| for the rounding of the
     residuals and of the phases, which does not shrink with O (an exact
-    circle's minimum is at rounding level), and the smallest coarse value is
-    floored at _PRUNE_FLOOR (smaller squares may have underflowed). A pruned
-    angle's value thus exceeds the smallest coarse value, so it is neither
-    the minimum nor a tie, and every evaluated angle takes the bits it takes
-    in a scan of all phases. The bound reads no Fourier coefficient of X, so
-    the check stays independent of the closed form the fit reads theta* from.
+    circle's minimum is at rounding level). The bound reads no Fourier
+    coefficient of X, so the check stays independent of the closed form the
+    fit reads theta* from.
     """
     thetas = np.linspace(0.0, 2 * np.pi, _PHASES, endpoint=False)
     obj = np.full(_PHASES, np.inf)  # inf at the pruned phases
     coarse = np.arange(0, _PHASES, _PHASE_STRIDE)
     obj[coarse] = _theta_objective(X, fit, thetas[coarse])
-    c_norm = fit.radius * math.sqrt(X.n) * (1.0 + _MARGIN)
-    slack = _MARGIN * (c_norm + float(np.linalg.norm(X.x.values - fit.x_star)))
-    reach = _PHASE_STRIDE * (2 * np.pi / _PHASES) * c_norm * (1.0 + _MARGIN)
-    ends = np.sqrt(obj[coarse]) * (1.0 - _MARGIN)
-    bound = (0.5 * (ends + np.roll(ends, -1)) - 0.5 * reach) * (1.0 - _MARGIN) - slack
-    best = np.sqrt(np.maximum(np.min(obj[coarse]), _PRUNE_FLOOR)) * (1.0 + _MARGIN)
-    kept = np.flatnonzero(~(bound > best))  # a NaN bound prunes nothing
-    fine = (coarse[kept, None] + np.arange(1, _PHASE_STRIDE)).ravel()
+    c_norm, z_norm = _safe(fit.radius * math.sqrt(X.n), 1), float(np.linalg.norm(X.x.values - fit.x_star))
+    reach = _safe(_PHASE_STRIDE * (2 * np.pi / _PHASES) * c_norm, 1)
+    ends = _safe(np.sqrt(obj[coarse]), -1)
+    bound = _safe(0.5 * (ends + np.roll(ends, -1)) - 0.5 * reach, -1, c_norm + z_norm)
+    fine = (coarse[_kept(bound, np.min(obj[coarse])), None] + np.arange(1, _PHASE_STRIDE)).ravel()
     obj[fine] = _theta_objective(X, fit, thetas[fine])
     return float(thetas[np.argmin(obj)])
 

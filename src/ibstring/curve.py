@@ -80,13 +80,13 @@ class CurveState:
     @cached_property
     def max_step(self) -> float:
         """An upper bound on c = max_j |X(s_j+1) - X(s_j)|, the largest chord
-        between consecutive samples (s_N = s_0): the computed root inflated
-        by _MARGIN, or inf when a square overflows. Samples k apart are at
+        between consecutive samples (s_N = s_0): the computed root moved up
+        by _safe, or inf when a square overflows. Samples k apart are at
         most |k| c apart; the well-stretched pass and the off-curve
         nearest-sample search both bound chords with it."""
         v = self.x.values
         step = np.concatenate([v[1:], v[:1]]) - v
-        return float(np.sqrt(np.max(step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1]))) * (1.0 + _MARGIN)
+        return _safe(float(np.sqrt(np.max(step[:, 0] * step[:, 0] + step[:, 1] * step[:, 1]))), 1)
 
     @cached_property
     def area(self) -> float:
@@ -203,12 +203,6 @@ def _pair_blocks(X: CurveState) -> Iterator[tuple]:
 # offset, S = N/64. Below 512 it evaluates every offset.
 _PRUNE_MIN_N = 512
 _COARSE_OFFSETS = 64
-# Relative amount by which each float term of the bound moves to its safe side;
-# it covers the few-ulp rounding of every computed ratio many times over.
-_MARGIN = 1e-12
-# Squared ratios below this are never pruned against: below it the products can
-# underflow and lose the relative accuracy _MARGIN assumes.
-_PRUNE_FLOOR = 1e-250
 # Refinement runs separated by at most this many pairs (gap times N) are merged:
 # evaluating the gap costs less than one more pass of the run loop.
 _MERGE_PAIRS = 4096
@@ -241,11 +235,31 @@ def well_stretched_constant(X: CurveState) -> float:
     return X.well_stretched
 
 
+_MARGIN = 1e-12  # the exact pruned searches' rounding discipline: see _safe
+_PRUNE_FLOOR = 1e-250  # see _kept
+
+
+def _safe(value, side: int, scale=0.0):
+    """value moved to its safe side, up for side = 1 and down for -1, by a
+    relative _MARGIN, far past the rounding of a computed root, constant or
+    combined bound (a few ulp per operation, at most N eps for an N-term sum
+    below N = 4,000), and by a further _MARGIN times scale."""
+    return value * (1.0 + side * _MARGIN) + side * _MARGIN * scale
+
+
+def _kept(lower, best_sq):
+    """False only where lower exceeds the root of best_sq, the smallest
+    square found, floored at _PRUNE_FLOOR (smaller squares may have lost to
+    underflow the accuracy _MARGIN assumes) and moved up. A candidate dropped
+    so is neither the minimum nor a tie; a NaN bound drops nothing."""
+    return ~(lower > _safe(np.sqrt(np.maximum(best_sq, _PRUNE_FLOOR)), 1))
+
+
 class _ChordBounds(NamedTuple):
     """What a well-stretched pass leaves on its state for a later state's pass.
 
     root[k - 1] is a lower bound on min_j |X(s_j+k) - X(s_j)| for the samples
-    x, k = 1 .. N/2: the computed root, shrunk by _MARGIN, where the pass
+    x, k = 1 .. N/2: the computed root, moved down by _safe, where the pass
     evaluated k, and the bound it skipped k with elsewhere. argmin is the
     offset where the smallest ratio fell. Arrays only, so a state never holds
     another state.
@@ -294,19 +308,16 @@ def _pruned_pass(X: CurveState, seed: _ChordBounds | None, windows: np.ndarray, 
 
     Each offset gets a lower bound on its min_j |w|, and after a first level
     of offsets the pass evaluates, in contiguous runs, only those whose bound
-    times 1/tau_k squared does not exceed the smallest ratio of that level.
-    Each float term of a bound is moved to its safe side by a relative
-    _MARGIN = 1e-12, far more than the few-ulp rounding of the computed
-    ratios, so an offset is skipped only when its ratio exceeds one already
-    evaluated, and the minimum is bitwise the full pass's. The first level
-    and the bounds come from one of two sources:
+    times 1/tau_k _kept keeps against the smallest ratio of that level, so
+    the minimum is bitwise the full pass's. The first level and the bounds
+    come from one of two sources:
 
     - The seed, bounds carried from another state with the same N (a run
       hands each state the last observed state's, see seed_well_stretched).
       By the triangle inequality min_j |w_Y(k)| >= min_j |w_X(k)| - 2 max_j
       |Y_j - X_j|, so each carried bound is lowered by twice the largest
-      displacement (inflated by _MARGIN). The first level is the offset where
-      the carried state's minimum fell; it must be that offset, because the
+      displacement (moved up). The first level is the offset where the
+      carried state's minimum fell; it must be that offset, because the
       bounds of small offsets fall to 0 within a few steps.
     - Otherwise the coarse level k = S, 2S, .. and N/2, S = N/64. For any
       offsets k and k', min_j |w(k')| >= sqrt(min_j |w(k)|^2) - |k' - k| c,
@@ -324,12 +335,12 @@ def _pruned_pass(X: CurveState, seed: _ChordBounds | None, windows: np.ndarray, 
 
     def roots() -> np.ndarray:
         # an overflowed min |w|^2 still bounds |w| below by sqrt of the largest double
-        return np.sqrt(np.minimum(min_w2, np.finfo(float).max)) * (1.0 - _MARGIN)
+        return _safe(np.sqrt(np.minimum(min_w2, np.finfo(float).max)), -1)
 
     if seed is not None and seed.x.shape == X.x.values.shape:
         with np.errstate(over="ignore"):  # an overflowed displacement bounds nothing: every offset is evaluated
             moved = X.x.values - seed.x
-            drift = float(np.sqrt(np.max(np.einsum("ij,ij->i", moved, moved)))) * (1.0 + _MARGIN)
+            drift = _safe(float(np.sqrt(np.max(np.einsum("ij,ij->i", moved, moved)))), 1)
         lb = seed.root - 2.0 * drift
         evaluate(range(seed.argmin, seed.argmin + 1))
     else:
@@ -340,13 +351,10 @@ def _pruned_pass(X: CurveState, seed: _ChordBounds | None, windows: np.ndarray, 
         k = np.arange(1, m + 1)
         left = k - k % stride  # the nearest coarse offsets; offset 0 has the zero chord
         right = np.minimum(left + stride, m)
-        root = np.concatenate(([0.0], roots()))
-        c = X.max_step
+        root, c = np.concatenate(([0.0], roots())), X.max_step
         lb = np.maximum(root[left] - (k - left) * c, root[right] - (right - k) * c)
-    lb = np.maximum(lb, 0.0) * (1.0 - _MARGIN)
-    bound = lb * inv_tau
-    best = max(float(np.min(inv_tau * inv_tau * min_w2)), _PRUNE_FLOOR)
-    k = np.flatnonzero(~done & (bound * bound <= best)) + 1
+    lb = _safe(np.maximum(lb, 0.0), -1)  # shrunk on every state, so rounding cannot pile up over a run
+    k = np.flatnonzero(~done & _kept(lb * inv_tau, np.min(inv_tau * inv_tau * min_w2))) + 1
     if k.size:
         breaks = (np.flatnonzero(np.diff(k) > 1 + _MERGE_PAIRS // n) + 1).tolist()  # where runs start
         for a, b in zip([0, *breaks], [*breaks, k.size]):

@@ -26,12 +26,12 @@ import numpy as np
 
 from .curve import (
     _BLOCK_ROWS,
-    _MARGIN,
-    _PRUNE_FLOOR,
     CurveState,
+    _kept,
     _offset_rows,
     _pair_blocks,
     _row_blocks,
+    _safe,
     _toeplitz_rows,
     _torus_offsets,
     _workspace,
@@ -211,8 +211,8 @@ def _cauchy_setup(X: CurveState) -> _CauchySetup:
 
     The disc is centred at the samples' mean, and its radius is their
     largest distance from it plus X.max_step (room for the band-limited
-    curve between samples), inflated by _MARGIN. From about 1e16 times the
-    curve's size every squared sample distance of a point rounds to the
+    curve between samples), moved up by curve._safe. From about 1e16 times
+    the curve's size every squared sample distance of a point rounds to the
     same value, so its nearest sample, and the tangent _inside would read
     there, are arbitrary; the disc places such points outside.
     """
@@ -237,7 +237,7 @@ def _cauchy_setup(X: CurveState) -> _CauchySetup:
     foot = np.stack([c, 1j * modes * c, -(modes * modes) * c]).T  # X, X', X'' from e^{iks}
     samples = _complex(X.x.values)
     disc_center = np.mean(samples)
-    disc_radius = (float(np.max(np.abs(samples - disc_center))) + X.max_step) * (1.0 + _MARGIN)
+    disc_radius = _safe(float(np.max(np.abs(samples - disc_center))) + X.max_step, 1)
     return _CauchySetup(zeta, w, center, sides, modes, foot, orientation, disc_center, disc_radius)
 
 
@@ -335,21 +335,18 @@ def _nearest_samples(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.
     Every sample of a run lies within S // 2 samples, so within
     r = (S // 2) c (c = X.max_step), of the run's middle sample. The coarse
     level takes every point's squared distance to each middle sample; the
-    smallest, D, is a real sample's. A run whose middle sample lies farther
-    than sqrt(D) + r cannot hold a sample within sqrt(D), so only the other
-    runs are evaluated in full. Each float term of that test moves to its
-    safe side by _MARGIN, D is floored at _PRUNE_FLOOR (squares below it
-    may have underflowed), and an overflowed D prunes nothing. A point's
-    runs go in increasing sample order and no pair's arithmetic depends on
-    which others are evaluated, so the first smallest value is at the
-    lowest index, bit for bit.
+    smallest, D, is a real sample's. A run's samples lie at least the middle
+    sample's distance less r away, and only the runs whose bound curve._kept
+    keeps against D are evaluated in full (an overflowed D prunes nothing).
+    A point's runs go in increasing sample order and no pair's arithmetic
+    depends on which others are evaluated, so the first smallest value is at
+    the lowest index, bit for bit.
     """
     n, size = X.n, math.isqrt(X.n - 1) + 1
     first = np.arange(0, n, size)  # each run's first sample
     first[-1] = n - size
     xy = X.x.values.T
-    samples = np.concatenate([xy[:, : (len(first) - 1) * size], xy[:, n - size:]], axis=1)
-    samples = samples.reshape(2, len(first), size)
+    samples = np.concatenate([xy[:, : (len(first) - 1) * size], xy[:, n - size:]], axis=1).reshape(2, -1, size)
     middle = samples[:, None, :, size // 2]
     reach = (size // 2) * X.max_step
     pxy = points.T[:, :, None]
@@ -362,12 +359,12 @@ def _nearest_samples(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.
     for lo in range(0, len(points), step):
         q = pxy[:, lo:lo + step]
         w = np.subtract(middle, q, out=coarse[:, : q.shape[1]])
-        with np.errstate(over="ignore"):  # an overflowed square is inf, as in an all-pairs pass
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed square is inf, as in an all-pairs pass
             np.square(w, out=w)
             d = np.add(w[0], w[1], out=w[0])
             rows = np.arange(len(d))
-            r = np.sqrt(np.maximum(d[rows, d.argmin(axis=1)], _PRUNE_FLOOR)) * (1.0 + _MARGIN) + reach
-            flat = np.flatnonzero(d <= (r * r)[:, None])  # (point, run) pairs, point by point
+            np.subtract(np.sqrt(d, out=w[1]), reach, out=w[1])  # a lower bound on each run's distance
+            flat = np.flatnonzero(_kept(w[1], d.min(axis=1, keepdims=True)))  # (point, run) pairs
             for a in range(0, len(flat), pairs):
                 pt, rn = np.divmod(flat[a:a + pairs], len(first))
                 # rn is in range; "clip" spares the copy that "raise" makes with out

@@ -215,6 +215,12 @@ class TestPhaseSearch:
         curves = [*criterion_8_members(3), make_circle(128, 1.0, 0.4)]
         assert_search_is_dense_scan(CurveState(GridField(scale * X.x.values)) for X in curves)
 
+    def test_subnormal_values_prune_nothing(self):
+        # at 1e-160 the values of these circles are subnormal and carry no
+        # relative accuracy; the floor keeps every phase
+        circles = (make_circle(32, 1.0, theta) for theta in (0.4, 2.5))
+        assert_search_is_dense_scan(CurveState(GridField(1e-160 * X.x.values)) for X in circles)
+
     def test_objective_bits_independent_of_the_block(self, rng):
         # the search evaluates subsets of the phases, down to a block of one
         X = criterion_8_members(1)[0]

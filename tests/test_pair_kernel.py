@@ -1,5 +1,6 @@
 """Row-blocked pair kernel against the dense (N, N) kernels it replaced."""
 
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from ibstring import (
     run,
     well_stretched_constant,
 )
-from ibstring import curve
+from ibstring import cli_io, curve
 from ibstring.curve import _BLOCK_ROWS, DegenerateCurveError, _pair_blocks
 from ibstring.stokeslet import _tau_factor
 
@@ -291,10 +292,11 @@ class TestPrunedWellStretched:
                   make_reparam_circle(n, 1.0, 0.9)):
             assert well_stretched_constant(X) == full_pair_well_stretched_constant(X)
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e154, 3e154, 1e155])
+    @pytest.mark.parametrize("scale", [1e-160, 1e-150, 1e154, 3e154, 1e155])
     def test_bitwise_full_pass_near_the_double_range_limits(self, scale):
-        # from 1e154 on the longest chords' |w|^2 overflow to inf, and near
-        # 1e-150 the squared ratios approach the subnormal range
+        # from 1e154 on the longest chords' |w|^2 overflow to inf, near 1e-150
+        # the squared ratios approach the subnormal range, and at 1e-160 the
+        # shortest chords' |w|^2 underflow to 0, below the pruning floor
         for X in (make_reparam_circle(1024, 1.0, 0.0), make_reparam_circle(1024, 1.0, 0.9)):
             X = CurveState(GridField(scale * X.x.values))
             with np.errstate(over="ignore"):
@@ -386,6 +388,28 @@ class TestCarriedWellStretched:
         assert sum(evaluated) <= 4 * len(res.rows)
         for (_, _, X), row in zip(res.snapshots, res.rows):
             assert row.well_stretched == full_pair_well_stretched_constant(X)
+
+    def test_every_row_of_a_five_mode_simulate_run(self, tmp_path):
+        # the written lambda of each diagnostics row against a fresh pass on
+        # the snapshot of its state, as read back from disk
+        modes = [
+            {"k": 2, "amp_x": 0.012, "amp_y": -0.006, "phase_y": 0.7},
+            {"k": 3, "amp_x": -0.005, "amp_y": 0.008, "phase_x": 1.9},
+            {"k": 4, "amp_x": 0.004, "amp_y": 0.003, "phase_y": 4.1},
+            {"k": 5, "amp_x": -0.003, "amp_y": -0.004, "phase_x": 2.6},
+            {"k": 6, "amp_x": 0.002, "amp_y": 0.002, "phase_x": 5.3, "phase_y": 0.2},
+        ]
+        config = {"grid_n": 1024, "dt": 0.01, "t_end": 0.04, "snapshot_every": 1, "output_dir": str(tmp_path / "out"),
+                  "initial": {"kind": "perturbed_circle", "modes": modes}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert cli_io.main(["simulate", str(tmp_path / "config.json")]) == 0
+        header, *lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        column = header.split(",").index("lambda")
+        snaps = sorted((tmp_path / "out").glob("snap_*.csv"))
+        assert len(snaps) == len(lines) == 5
+        for snap, line in zip(snaps, lines):
+            fresh = "%.17g" % well_stretched_constant(CurveState(cli_io.read_snapshot(snap).x))
+            assert fresh == line.split(",")[column], snap.name
 
     def test_unrelated_source_bitwise(self, rng):
         for n in (512, 1024):

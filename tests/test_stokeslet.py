@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import json
 import math
 import os
 import subprocess
@@ -28,6 +29,7 @@ from ibstring import (
     pressure_at,
     sample_flow,
 )
+from ibstring.cli_io import FieldGrid, read_snapshot, write_field_csv, write_snapshot
 from ibstring.spectral import derivative, fractional_laplacian_half, resample, to_spectral
 from ibstring.stokeslet import (
     OnCurvePointError,
@@ -509,6 +511,19 @@ class TestNearestSampleSearch:
             scaled = CurveState(GridField(scale * X.x.values))
             assert_nearest_is_all_pairs(scaled, scale * np.vstack([field_lattice(30), near_lattice(X)]))
 
+    def test_tie_a_reach_behind_the_nearest_middle(self):
+        # samples stepping back and forth by c along a ray from the point:
+        # sample 6, the second run's middle, coincides with sample 0, and the
+        # first run's middle lies 2c, its reach, farther out. That run's bound
+        # equals sqrt(D) up to rounding; only the margin of _kept keeps it, so
+        # that the tie goes to sample 0 (without it 10 of these 240 fail)
+        steps = [0, 1, 2, 3, 2, 1, 0, 1, 2, 3, 2, 1, 1, 2, 2, 1]
+        for r, c in ((1.0, 1e-3), (3.0, 1e-5), (0.7, 1e-5), (3.0, 1e-7)):
+            for angle in np.linspace(0.0, 2 * np.pi, 60, endpoint=False):
+                u = np.array([np.cos(angle), np.sin(angle)])
+                X = CurveState(GridField(np.array([(r + k * c) * u for k in steps])))
+                assert_nearest_is_all_pairs(X, np.zeros((1, 2)))
+
     def test_clockwise_curve(self):
         X = relax_curve(3)
         clockwise = CurveState(GridField(X.x.values[::-1]))
@@ -536,6 +551,46 @@ class TestNearestSampleSearch:
         X = relax_curve(1)
         _nearest_samples(X, np.array([[0.9, 0.3]]))
         assert sum(search_pairs) <= 32 + 3 * 32
+
+
+def perturbed_1000() -> CurveState:
+    """A two-mode perturbed circle at N = 1000, where S = 32 leaves a short
+    last run."""
+    modes = [PerturbationMode(2, 0.03, -0.01, 0.4), PerturbationMode(3, -0.01, 0.015, 1.3, 2.2)]
+    return make_perturbed_circle(1000, 1.0, modes)
+
+
+class TestFieldAtN1000:
+    """`field` rows of the N = 1000 curve on a 40 x 40 lattice over
+    [-1.6, 1.6]^2, read back from its snapshot as the command reads it."""
+
+    grid = FieldGrid(-1.6, 1.6, -1.6, 1.6, 40, 40)
+
+    def test_rows_equal_the_all_pairs_rows(self, tmp_path, monkeypatch):
+        write_snapshot(tmp_path / "perturbed_1000.csv", perturbed_1000())
+        X = read_snapshot(tmp_path / "perturbed_1000.csv")
+        write_field_csv(tmp_path / "search.csv", X, self.grid)
+        monkeypatch.setattr(ibstring.stokeslet, "_nearest_samples", all_pairs_nearest)
+        write_field_csv(tmp_path / "all_pairs.csv", CurveState(X.x), self.grid)
+        assert (tmp_path / "search.csv").read_bytes() == (tmp_path / "all_pairs.csv").read_bytes()
+
+    def test_blas_thread_count_keeps_bytes(self, tmp_path):
+        # one `field` process per count, since OpenBLAS reads it when it loads
+        write_snapshot(tmp_path / "perturbed_1000.csv", perturbed_1000())
+        g = self.grid
+        config = {"grid_n": 1000, "t_end": 1.0, "output_dir": str(tmp_path / "out"), "initial": {"kind": "circle"},
+                  "field_grid": {"xmin": g.xmin, "xmax": g.xmax, "ymin": g.ymin, "ymax": g.ymax, "nx": g.nx, "ny": g.ny}}
+        (tmp_path / "field_1000.json").write_text(json.dumps(config))
+        path = os.pathsep.join(p for p in sys.path if p)
+        rows = set()
+        for threads in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-m", "ibstring.cli_io", "field", "field_1000.json", "perturbed_1000.csv"],
+                cwd=tmp_path, capture_output=True, check=True,
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            )
+            rows.add((tmp_path / "out" / "field.csv").read_bytes())
+        assert len(rows) == 1 and len(rows.pop().splitlines()) == 1 + 40 * 40
 
 
 class TestBatchedOffCurveFlow:

@@ -1,0 +1,70 @@
+"""Rules on the package's source that keep one implementation per decision:
+the spectral memo, the CLI's public surface and the rounding discipline of
+the exact pruned searches."""
+
+import ast
+import re
+from pathlib import Path
+
+import ibstring
+
+MODULES = sorted(Path(ibstring.__file__).parent.glob("*.py"))
+
+
+def lines_matching(pattern: str, skip: str) -> list[str]:
+    return [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in MODULES if path.name != skip
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(pattern, line)
+    ]
+
+
+def test_only_spectral_calls_numpy_fft():
+    assert lines_matching(r"np\.fft|numpy\.fft", skip="spectral.py") == []
+
+
+def spectrum_writes(path: Path) -> list[str]:
+    """Statements that assign, delete or setattr a `spectrum` attribute, or
+    touch an instance __dict__."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for t in targets:
+            while isinstance(t, ast.Subscript):
+                t = t.value
+            if isinstance(t, ast.Attribute) and t.attr == "spectrum":
+                found.append(f"{path.name}:{node.lineno}: assigns .spectrum")
+        func = getattr(node, "func", None)
+        if getattr(node, "attr", None) == "__dict__" or getattr(func, "id", None) == "vars":
+            found.append(f"{path.name}:{node.lineno}: touches an instance __dict__")
+        if getattr(func, "id", None) == "setattr" or getattr(func, "attr", None) == "__setattr__":
+            if any(isinstance(a, ast.Constant) and a.value == "spectrum" for a in node.args):
+                found.append(f"{path.name}:{node.lineno}: sets the attribute 'spectrum'")
+    return found
+
+
+def test_only_spectral_sets_a_fields_spectrum():
+    # a memo set anywhere else could differ from the field's own transform
+    assert [hit for path in MODULES if path.name != "spectral.py" for hit in spectrum_writes(path)] == []
+
+
+def test_cli_io_imports_no_private_name():
+    tree = ast.parse(next(p for p in MODULES if p.name == "cli_io.py").read_text())
+    private = [
+        f"line {node.lineno}: {node.module or '.'} import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "ibstring")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_only_curve_names_the_rounding_constants():
+    # the other searches move their bounds through curve._safe and curve._kept
+    assert lines_matching(r"\b(_MARGIN|_PRUNE_FLOOR)\b", skip="curve.py") == []
