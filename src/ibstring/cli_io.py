@@ -16,10 +16,10 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, NoReturn, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -88,12 +88,27 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class FieldGrid:
+    """The field command's lattice: nx x ny points from (xmin, ymin) to (xmax, ymax)."""
+
     xmin: float
     xmax: float
     ymin: float
     ymax: float
     nx: int
     ny: int
+
+    def __post_init__(self) -> None:
+        if self.nx < 1 or self.ny < 1:
+            raise ValueError("nx and ny must be >= 1")
+        if self.nx * self.ny > MAX_FIELD_POINTS:
+            raise ValueError(f"nx*ny at most {MAX_FIELD_POINTS}, got {self.nx * self.ny}")
+        if self.xmax <= self.xmin or self.ymax <= self.ymin:
+            raise ValueError("max bounds must exceed min bounds")
+        if not (math.isfinite(self.xmax - self.xmin) and math.isfinite(self.ymax - self.ymin)):
+            raise ValueError("the spans xmax - xmin and ymax - ymin must be finite")
+        bound = max(abs(self.xmin), abs(self.xmax), abs(self.ymin), abs(self.ymax))
+        if bound > MAX_FIELD_COORD:
+            raise ValueError(f"bounds at most {MAX_FIELD_COORD:g} in magnitude, got {bound:g}")
 
 
 @dataclass(frozen=True)
@@ -106,29 +121,9 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration: the keys, defaults and ranges are the fields of the
+# dataclasses a config fills, and of the kinds in _INITIAL_KINDS
 # ---------------------------------------------------------------------------
-
-_TOP_KEYS = {
-    "grid_n", "scheme", "dt", "t_end", "dealias", "lambda_abort",
-    "snapshot_every", "output_dir", "initial", "field_grid",
-}
-_DEALIAS_KEYS = {"enabled", "cutoff_fraction", "krasny_floor"}
-_FIELD_KEYS = {"xmin", "xmax", "ymin", "ymax", "nx", "ny"}
-_INITIAL_KEYS = {
-    "circle": {"kind", "radius", "theta", "center"},
-    "perturbed_circle": {"kind", "radius", "modes"},
-    "reparam_circle": {"kind", "radius", "beta"},
-    "file": {"kind", "path"},
-}
-_MODE_KEYS = {"k", "amp_x", "amp_y", "phase_x", "phase_y"}
-
-
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-
 
 def _require(obj: dict, key: str, path: str) -> Any:
     if key not in obj:
@@ -136,11 +131,37 @@ def _require(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
+def _object(value: Any, path: str, keys: set[str] | None = None) -> dict:
+    """value as a JSON object that holds no key beyond keys (when given)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object")
+    if keys is not None and set(value) - keys:
+        raise ConfigError(f"{path}: unknown key(s) {sorted(set(value) - keys)}")
+    return value
+
+
+def _checked(test: Callable[[Any], bool], rule: str,
+             read: Callable[[Any, str], Any] | None = None) -> Callable[[Any, str], Any]:
+    """The reader of a value that passes test once read (by read, if given);
+    any other value fails with the rule's name."""
+    def checked(value: Any, path: str) -> Any:
+        value = value if read is None else read(value, path)
+        if not test(value):
+            raise ConfigError(f"{path}: {rule}, got {value!r}")
+        return value
+    return checked
+
+
+# JSON's types: true and false are no numbers
+_integer = _checked(lambda value: isinstance(value, int) and not isinstance(value, bool), "expected an integer")
+_numeric = _checked(lambda value: isinstance(value, (int, float)) and not isinstance(value, bool), "expected a number")
+_string = _checked(lambda value: isinstance(value, str), "expected a string")
+_switch = _checked(lambda value: isinstance(value, bool) or value == "auto", "expected bool or 'auto'")
+
+
 def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
-        number = float(value)
+        number = float(_numeric(value, path))
     except OverflowError:  # an integer literal beyond the float range
         number = math.inf
     if not math.isfinite(number):  # also 1e400, which JSON reads as infinity
@@ -152,16 +173,64 @@ def _reject_constant(token: str) -> NoReturn:
     raise ConfigError(f"non-finite number {token} is not allowed")
 
 
-def _string(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    return value
+# The reader of each field type the dataclasses declare. None is read from
+# "auto" (dealias.enabled) and from null (lambda_abort).
+_READERS = {
+    "int": _integer,
+    "float": _number,
+    "str": _string,
+    "bool | None": lambda value, path: None if _switch(value, path) == "auto" else value,
+    "float | None": lambda value, path: None if value is None else _number(value, path),
+}
+# StepperConfig's fields that the dealias block sets, with their keys there
+_DEALIAS = {"dealias_enabled": "enabled", "dealias_cutoff": "cutoff_fraction", "krasny_floor": "krasny_floor"}
 
 
-def _integer(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
+def _read(obj: Any, keys: type | list, path: str, also: frozenset = frozenset()) -> dict[str, Any]:
+    """The JSON object obj read key by key from (key, reader, default) triples,
+    or from a dataclass's fields by their declared types. obj holds no other
+    key (but also); keys with no default (MISSING) are checked first."""
+    if isinstance(keys, type):
+        keys = [(f.name, _READERS[f.type], f.default) for f in fields(keys)]
+    _object(obj, path, {key for key, _, _ in keys} | also)
+    for key, _, default in keys:
+        if default is MISSING:
+            _require(obj, key, path)
+    return {key: read(obj.get(key, default), f"{path}.{key}") for key, read, default in keys}
+
+
+def _center(value: Any, path: str) -> list[float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{path}: expected [x, y], got {value!r}")
+    return [_number(c, path) for c in value]
+
+
+def _modes(value: Any, path: str) -> list[dict[str, Any]]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list")
+    return [_read(m, PerturbationMode, f"{path}[{i}]") for i, m in enumerate(value)]
+
+
+_GRID_N = _checked(lambda n: n <= MAX_GRID_N, f"at most {MAX_GRID_N}",
+                   _checked(lambda n: n >= 8 and n % 2 == 0, "must be even and >= 8", _integer))
+_RADIUS = ("radius", _checked(lambda radius: radius > 0, "must be positive", _number), 1.0)
+# Each initial kind: its keys besides "kind", as (key, reader, default) in the
+# order they are read, and the curve at grid_n from their values in that order.
+_INITIAL_KINDS = {
+    "circle": (
+        [_RADIUS, ("theta", _number, 0.0), ("center", _center, [0.0, 0.0])],
+        lambda n, radius, theta, center: make_circle(n, radius, theta, tuple(center)),
+    ),
+    "perturbed_circle": (
+        [_RADIUS, ("modes", _modes, [])],
+        lambda n, radius, modes: make_perturbed_circle(n, radius, [PerturbationMode(**m) for m in modes]),
+    ),
+    "reparam_circle": (
+        [_RADIUS, ("beta", _checked(lambda beta: abs(beta) < 1.0, "|beta| must be < 1", _number), 0.0)],
+        make_reparam_circle,
+    ),
+    "file": ([("path", _string, MISSING)], lambda n, path: read_snapshot(Path(path))),
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -170,170 +239,63 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text, parse_constant=_reject_constant)
     except ValueError as exc:  # JSONDecodeError, a rejected constant, an over-long integer
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected an object")
-    _reject_unknown(doc, _TOP_KEYS, "top level")
+    top = {f.name for f in fields(RunConfig) + fields(StepperConfig) if f.name not in _DEALIAS} - {"stepper"}
+    _object(doc, "top level", top | {"dealias"})
 
-    grid_n = _integer(_require(doc, "grid_n", "top level"), "grid_n")
-    if grid_n < 8 or grid_n % 2 != 0:
-        raise ConfigError(f"grid_n: must be even and >= 8, got {grid_n}")
-    if grid_n > MAX_GRID_N:
-        raise ConfigError(f"grid_n: at most {MAX_GRID_N}, got {grid_n}")
+    grid_n = _GRID_N(_require(doc, "grid_n", "top level"), "grid_n")
 
-    # JSON types only: StepperConfig states the defaults and the ranges
-    settings: dict[str, Any] = {"t_end": _number(_require(doc, "t_end", "top level"), "t_end")}
-    if "scheme" in doc:
-        settings["scheme"] = _string(doc["scheme"], "scheme")
-    if "dt" in doc:
-        settings["dt"] = _number(doc["dt"], "dt")
-    if "dealias" in doc:
-        d = doc["dealias"]
-        if not isinstance(d, dict):
-            raise ConfigError("dealias: expected an object")
-        _reject_unknown(d, _DEALIAS_KEYS, "dealias")
-        enabled = d.get("enabled", "auto")
-        if isinstance(enabled, bool):
-            settings["dealias_enabled"] = enabled
-        elif enabled != "auto":
-            raise ConfigError(f"dealias.enabled: expected bool or 'auto', got {enabled!r}")
-        if "cutoff_fraction" in d:
-            settings["dealias_cutoff"] = _number(d["cutoff_fraction"], "dealias.cutoff_fraction")
-        if "krasny_floor" in d:
-            settings["krasny_floor"] = _number(d["krasny_floor"], "dealias.krasny_floor")
-    if doc.get("lambda_abort") is not None:
-        settings["lambda_abort"] = _number(doc["lambda_abort"], "lambda_abort")
-    if "snapshot_every" in doc:
-        settings["snapshot_every"] = _integer(doc["snapshot_every"], "snapshot_every")
+    # JSON types only, and only the keys the config gives: StepperConfig
+    # states the defaults and the ranges
+    _require(doc, "t_end", "top level")
+    dealias = _object(doc.get("dealias", {}), "dealias", set(_DEALIAS.values()))
+    given = {name: (doc[name], name) for name in doc}  # (value, path) of each field set
+    given.update((name, (dealias[key], f"dealias.{key}")) for name, key in _DEALIAS.items() if key in dealias)
+    settings = {f.name: _READERS[f.type](*given[f.name]) for f in fields(StepperConfig) if f.name in given}
     try:
         stepper = StepperConfig(**settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    initial = _require(doc, "initial", "top level")
-    if not isinstance(initial, dict):
-        raise ConfigError("initial: expected an object")
+    initial = _object(_require(doc, "initial", "top level"), "initial")
     kind = _string(_require(initial, "kind", "initial"), "initial.kind")
-    if kind not in _INITIAL_KEYS:
+    if kind not in _INITIAL_KINDS:
         raise ConfigError(f"initial.kind: unknown kind {kind!r}")
-    _reject_unknown(initial, _INITIAL_KEYS[kind], "initial")
-    initial = dict(initial)
-    if kind in ("circle", "perturbed_circle", "reparam_circle"):
-        initial["radius"] = _number(initial.get("radius", 1.0), "initial.radius")
-        if initial["radius"] <= 0:
-            raise ConfigError(f"initial.radius: must be positive, got {initial['radius']}")
-    if kind == "circle":
-        initial["theta"] = _number(initial.get("theta", 0.0), "initial.theta")
-        center = initial.get("center", [0.0, 0.0])
-        if not (isinstance(center, list) and len(center) == 2):
-            raise ConfigError(f"initial.center: expected [x, y], got {center!r}")
-        initial["center"] = [_number(c, "initial.center") for c in center]
-    elif kind == "perturbed_circle":
-        modes = initial.get("modes", [])
-        if not isinstance(modes, list):
-            raise ConfigError("initial.modes: expected a list")
-        parsed = []
-        for i, m in enumerate(modes):
-            if not isinstance(m, dict):
-                raise ConfigError(f"initial.modes[{i}]: expected an object")
-            _reject_unknown(m, _MODE_KEYS, f"initial.modes[{i}]")
-            parsed.append({
-                "k": _integer(_require(m, "k", f"initial.modes[{i}]"), f"initial.modes[{i}].k"),
-                "amp_x": _number(m.get("amp_x", 0.0), f"initial.modes[{i}].amp_x"),
-                "amp_y": _number(m.get("amp_y", 0.0), f"initial.modes[{i}].amp_y"),
-                "phase_x": _number(m.get("phase_x", 0.0), f"initial.modes[{i}].phase_x"),
-                "phase_y": _number(m.get("phase_y", 0.0), f"initial.modes[{i}].phase_y"),
-            })
-        initial["modes"] = parsed
-    elif kind == "reparam_circle":
-        initial["beta"] = _number(initial.get("beta", 0.0), "initial.beta")
-        if not abs(initial["beta"]) < 1.0:
-            raise ConfigError(f"initial.beta: |beta| must be < 1, got {initial['beta']}")
-    else:  # file
-        _string(_require(initial, "path", "initial"), "initial.path")
+    # the given keys keep their places, and the defaults follow them
+    initial = {**initial, **_read(initial, _INITIAL_KINDS[kind][0], "initial", frozenset({"kind"}))}
 
     field_grid = None
     if doc.get("field_grid") is not None:
-        fg = doc["field_grid"]
-        if not isinstance(fg, dict):
-            raise ConfigError("field_grid: expected an object")
-        _reject_unknown(fg, _FIELD_KEYS, "field_grid")
-        vals = {k: _require(fg, k, "field_grid") for k in _FIELD_KEYS}
-        field_grid = FieldGrid(
-            xmin=_number(vals["xmin"], "field_grid.xmin"),
-            xmax=_number(vals["xmax"], "field_grid.xmax"),
-            ymin=_number(vals["ymin"], "field_grid.ymin"),
-            ymax=_number(vals["ymax"], "field_grid.ymax"),
-            nx=_integer(vals["nx"], "field_grid.nx"),
-            ny=_integer(vals["ny"], "field_grid.ny"),
-        )
-        if field_grid.nx < 1 or field_grid.ny < 1:
-            raise ConfigError("field_grid: nx and ny must be >= 1")
-        if field_grid.nx * field_grid.ny > MAX_FIELD_POINTS:
-            raise ConfigError(f"field_grid: nx*ny at most {MAX_FIELD_POINTS}, got {field_grid.nx * field_grid.ny}")
-        if field_grid.xmax <= field_grid.xmin or field_grid.ymax <= field_grid.ymin:
-            raise ConfigError("field_grid: max bounds must exceed min bounds")
-        if not (math.isfinite(field_grid.xmax - field_grid.xmin) and math.isfinite(field_grid.ymax - field_grid.ymin)):
-            raise ConfigError("field_grid: the spans xmax - xmin and ymax - ymin must be finite")
-        bound = max(abs(field_grid.xmin), abs(field_grid.xmax), abs(field_grid.ymin), abs(field_grid.ymax))
-        if bound > MAX_FIELD_COORD:
-            raise ConfigError(f"field_grid: bounds at most {MAX_FIELD_COORD:g} in magnitude, got {bound:g}")
+        bounds = _read(doc["field_grid"], FieldGrid, "field_grid")
+        try:
+            field_grid = FieldGrid(**bounds)
+        except ValueError as exc:
+            raise ConfigError(f"field_grid: {exc}") from exc
 
     output_dir = Path(_string(doc.get("output_dir", "ibstring_out"), "output_dir"))
-    return RunConfig(
-        grid_n=grid_n,
-        stepper=stepper,
-        initial=initial,
-        output_dir=output_dir,
-        field_grid=field_grid,
-    )
+    return RunConfig(grid_n, stepper, initial, output_dir, field_grid)
 
 
 def canonical_config(cfg: RunConfig) -> dict[str, Any]:
     """Canonical JSON document of a parsed configuration (round-trips)."""
-    doc: dict[str, Any] = {
-        "grid_n": cfg.grid_n,
-        "scheme": cfg.stepper.scheme,
-        "dt": cfg.stepper.dt,
-        "t_end": cfg.stepper.t_end,
-        "dealias": {
-            "enabled": "auto" if cfg.stepper.dealias_enabled is None else cfg.stepper.dealias_enabled,
-            "cutoff_fraction": cfg.stepper.dealias_cutoff,
-            "krasny_floor": cfg.stepper.krasny_floor,
-        },
-        "lambda_abort": cfg.stepper.lambda_abort,
-        "snapshot_every": cfg.stepper.snapshot_every,
-        "output_dir": str(cfg.output_dir),
-        "initial": cfg.initial,
-    }
+    doc: dict[str, Any] = {"grid_n": cfg.grid_n}
+    for name, value in asdict(cfg.stepper).items():
+        if name in _DEALIAS:
+            doc.setdefault("dealias", {})[_DEALIAS[name]] = "auto" if value is None else value
+        else:
+            doc[name] = value
+    doc.update(output_dir=str(cfg.output_dir), initial=cfg.initial)
     if cfg.field_grid is not None:
-        doc["field_grid"] = {
-            "xmin": cfg.field_grid.xmin, "xmax": cfg.field_grid.xmax,
-            "ymin": cfg.field_grid.ymin, "ymax": cfg.field_grid.ymax,
-            "nx": cfg.field_grid.nx, "ny": cfg.field_grid.ny,
-        }
+        doc["field_grid"] = asdict(cfg.field_grid)
     return doc
 
 
 def build_initial(cfg: RunConfig) -> CurveState:
     """Construct the initial configuration and check it is well-stretched."""
-    init = cfg.initial
-    kind = init["kind"]
-    if kind == "circle":
-        X = make_circle(cfg.grid_n, init["radius"], init["theta"], tuple(init["center"]))
-    elif kind == "perturbed_circle":
-        modes = [PerturbationMode(**m) for m in init["modes"]]
-        X = make_perturbed_circle(cfg.grid_n, init["radius"], modes)
-    elif kind == "reparam_circle":
-        X = make_reparam_circle(cfg.grid_n, init["radius"], init["beta"])
-    else:
-        X = read_snapshot(Path(init["path"]))
-        if X.n != cfg.grid_n:
-            raise ConfigError(f"initial.path: snapshot has N = {X.n}, config grid_n = {cfg.grid_n}")
-    _check_input(X, "initial")
-    try:
-        enclosed_area(X)
-    except OrientationError as exc:
-        raise ConfigError(f"initial: {exc} (clockwise or self-intersecting curve)") from None
+    keys, build = _INITIAL_KINDS[cfg.initial["kind"]]
+    X = build(cfg.grid_n, *(cfg.initial[key] for key, _, _ in keys))
+    if X.n != cfg.grid_n:  # only a snapshot can have another N
+        raise ConfigError(f"initial.path: snapshot has N = {X.n}, config grid_n = {cfg.grid_n}")
+    _check_input(X, "initial", oriented=True)
     _check_well_stretched(X, "initial")
     return X
 
@@ -390,10 +352,11 @@ def read_snapshot(path: Path) -> CurveState:
     return X
 
 
-def _check_input(X: CurveState, source: str | Path) -> None:
+def _check_input(X: CurveState, source: str | Path, oriented: bool = False) -> None:
     """Read an input curve's X', X'' and enclosed area, as every command
     does (simulate before its first step); an overflow there is the input's
-    fault and raises ConfigError naming the source."""
+    fault and raises ConfigError naming the source, and so does a clockwise
+    curve where it must be oriented."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             X.xp, X.xpp
@@ -403,8 +366,9 @@ def _check_input(X: CurveState, source: str | Path) -> None:
             enclosed_area(X)
         except NonFiniteFieldError as exc:
             raise ConfigError(f"{source}: {exc}") from None
-        except OrientationError:
-            pass  # field reads a reversed curve; build_initial and fit reject it
+        except OrientationError as exc:  # field reads a reversed curve
+            if oriented:
+                raise ConfigError(f"{source}: {exc} (clockwise or self-intersecting curve)") from None
 
 
 def _check_well_stretched(X: CurveState, source: str | Path) -> None:
@@ -533,10 +497,8 @@ def cmd_spectrum(k_max: int, stream=None) -> int:
 def cmd_fit(snapshot_path: Path, stream=None) -> int:
     stream = stream or sys.stdout
     X = read_snapshot(snapshot_path)
-    try:
-        fit = closest_equilibrium(X)
-    except OrientationError as exc:
-        raise ConfigError(f"{snapshot_path}: {exc} (clockwise or self-intersecting curve)") from None
+    _check_input(X, snapshot_path, oriented=True)
+    fit = closest_equilibrium(X)
     print(f"theta_star = {_FMT % fit.theta_star}", file=stream)
     print(f"x_star = ({_FMT % fit.x_star[0]}, {_FMT % fit.x_star[1]})", file=stream)
     print(f"radius = {_FMT % fit.radius}", file=stream)

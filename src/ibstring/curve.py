@@ -334,8 +334,10 @@ def _pruned_pass(X: CurveState, seed: _ChordBounds | None, windows: np.ndarray, 
         done[offsets.start - 1: offsets.stop - 1: offsets.step] = True
 
     def roots() -> np.ndarray:
-        # an overflowed min |w|^2 still bounds |w| below by sqrt of the largest double
-        return _safe(np.sqrt(np.minimum(min_w2, np.finfo(float).max)), -1)
+        # an overflowed min |w|^2 still bounds |w| below by sqrt of the largest
+        # double; one below _PRUNE_FLOOR may have lost its accuracy to underflow
+        root = _safe(np.sqrt(np.minimum(min_w2, np.finfo(float).max)), -1)
+        return np.where(min_w2 < _PRUNE_FLOOR, 0.0, root)
 
     if seed is not None and seed.x.shape == X.x.values.shape:
         with np.errstate(over="ignore"):  # an overflowed displacement bounds nothing: every offset is evaluated

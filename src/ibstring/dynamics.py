@@ -45,6 +45,7 @@ from .equilibrium import closest_equilibrium, fit_distance
 from .spectral import (
     GridField,
     NonFiniteFieldError,
+    band_samples,
     dealias,
     resample_field,
     resolved_band,
@@ -212,26 +213,19 @@ def diagnostics_row(t: float, X: CurveState, u: GridField) -> DiagnosticsRow:
     )
 
 
-# The fewest samples the truncated curve gets.
-_MIN_SAMPLES = 16
-
-
 def _resolved_velocity(X: CurveState) -> GridField:
     """on_curve_velocity on the fewest samples X needs, zero-padded back to N.
 
-    N_c starts at the curve's floor, the smallest power of two that is at
-    least _MIN_SAMPLES and at least 4k, k the curve's band by
-    spectral.resolved_band. It doubles until the velocity passes the same
-    tail test on N_c samples, against the curve's bound: no Fourier mode
-    above N_c/4 exceeds 1e-13 times the curve's largest k != 0 mode. When no
-    power of two below N passes, it is on_curve_velocity(X) itself. The walk
-    reads X alone, so a state's velocity does not depend on the run that
-    reached it.
+    N_c starts at the curve's floor, spectral.band_samples(k) with k the
+    curve's band by spectral.resolved_band. It doubles until the velocity
+    passes the same tail test on N_c samples, against the curve's bound: no
+    Fourier mode above N_c/4 exceeds 1e-13 times the curve's largest k != 0
+    mode. When no power of two below N passes, it is on_curve_velocity(X)
+    itself. The walk reads X alone, so a state's velocity does not depend on
+    the run that reached it.
     """
     k_curve, bound = resolved_band(X.x)
-    n_c = _MIN_SAMPLES
-    while n_c < 4 * k_curve:
-        n_c *= 2
+    n_c = band_samples(k_curve)
     while n_c < X.n:
         u = on_curve_velocity(CurveState(resample_field(X.x, n_c)))
         if 4 * resolved_band(u, bound)[0] <= n_c:

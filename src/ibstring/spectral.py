@@ -35,10 +35,10 @@ __all__ = [
     "semigroup_phi1",
     "sobolev_seminorm",
     "spectrum_seminorm",
-    "resample",
     "resample_field",
     "mode_amplitudes",
     "resolved_band",
+    "band_samples",
     "dealias",
     "mean",
 ]
@@ -190,50 +190,29 @@ def semigroup_phi1(f: GridField, t: float) -> GridField:
     return _apply_multiplier(f, _phi1(-np.abs(k) * t / 4.0))
 
 
-def _resampled_spectrum(f: GridField, m: int) -> np.ndarray:
-    """f's transform cut or zero-padded to m modes and scaled to m samples:
-    the modes -m/2 .. m/2 - 1 for m < N, f's own modes (Nyquist at -N/2) for
-    m > N. A fresh (m, 2) array."""
-    if m < 2 or m % 2:
-        raise ValueError(f"sample count must be even and >= 2, got {m}")
+def resample_field(f: GridField, m: int) -> GridField:
+    """f on m >= 8 samples, band-limited: its spectrum zero-padded for m > N,
+    which is exact, or cut to the modes -m/2 .. m/2 - 1 for m < N. m = N
+    returns f, with no FFT round trip.
+
+    The field is seeded with its coefficients, so no forward FFT of its
+    values is needed. The real part of the inverse transform keeps the
+    Hermitian part of the coefficients, so the seed is made Hermitian, which
+    is what fft(values) gives up to rounding: on truncation the entry at the
+    new Nyquist slot -m/2 keeps its real part; on padding f's Nyquist
+    coefficient is split in halves over -N/2 and N/2.
+    """
     n = f.n
+    if m == n:
+        return f
+    if m < 8 or m % 2:
+        raise ValueError(f"sample count must be even and >= 8, got {m}")
     cm = np.zeros((m, 2), dtype=complex)
     half = min(n, m) // 2
     cm[:half] = f.spectrum[:half]
     cm[m - half:] = f.spectrum[n - half:]
     cm /= n
     cm *= m
-    return cm
-
-
-def resample(f: GridField, m: int) -> np.ndarray:
-    """Read-only (m, 2) samples of the band-limited f on m points.
-
-    Zero-pads the spectrum for m > N, which is exact; truncates it to the
-    modes -m/2 .. m/2 - 1 for m < N. m = N returns f's own values, with no
-    FFT round trip.
-    """
-    if m == f.n:
-        return f.values
-    out = np.fft.ifft(_resampled_spectrum(f, m), axis=0).real.copy()  # a view would pin the complex buffer
-    out.flags.writeable = False
-    return out
-
-
-def resample_field(f: GridField, m: int) -> GridField:
-    """f on m >= 8 samples as a field seeded with its coefficients: values
-    bitwise resample(f, m), spectrum the cut or padded transform made
-    Hermitian, so no forward FFT of the values is needed. m = N returns f.
-
-    The real part of the inverse transform keeps the Hermitian part of the
-    coefficients, so the seed is what fft(values) gives up to rounding: on
-    truncation the entry at the new Nyquist slot -m/2 keeps its real part;
-    on padding f's Nyquist coefficient is split in halves over -N/2 and N/2.
-    """
-    n = f.n
-    if m == n:
-        return f
-    cm = _resampled_spectrum(f, m)
     values = np.fft.ifft(cm, axis=0).real
     if m < n:
         cm[m // 2] = cm[m // 2].real
@@ -275,6 +254,12 @@ def resolved_band(f: GridField, bound: float | None = None) -> tuple[int, float]
         bound = _TAIL_TOL * float(amp[1:].max())
     above = np.flatnonzero(amp > bound)
     return (int(above[-1]) if above.size else 0), bound
+
+
+def band_samples(k: int) -> int:
+    """The fewest samples on which a field of band k can pass the tail test:
+    the smallest power of two that is at least 16 and at least 4k."""
+    return max(16, 1 << (4 * k - 1).bit_length())
 
 
 def sobolev_seminorm(f: GridField, s: float) -> float:

@@ -36,7 +36,7 @@ from .curve import (
     _torus_offsets,
     _workspace,
 )
-from .spectral import GridField, fractional_laplacian_half, resample, resolved_band, to_spectral
+from .spectral import GridField, band_samples, fractional_laplacian_half, resample_field, resolved_band, to_spectral
 
 __all__ = [
     "OnCurvePointError",
@@ -217,8 +217,8 @@ def _cauchy_setup(X: CurveState) -> _CauchySetup:
     there, are arbitrary; the disc places such points outside.
     """
     band = resolved_band(X.x)[0]
-    m = min(X.n, max(16, 1 << (8 * band - 1).bit_length()))
-    zeta, a, app = (_complex(resample(v, m)) for v in (X.x, X.xp, X.xpp))
+    m = min(X.n, band_samples(2 * band))
+    zeta, a, app = (_complex(resample_field(v, m).values) for v in (X.x, X.xp, X.xpp))
     center = np.mean(zeta)
     w = (2.0 * np.pi / m) * a
     arm = np.conjugate(zeta - center)

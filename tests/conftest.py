@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,16 @@ def relax_curve(seed: int, n: int = 1024) -> CurveState:
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(5, 2))
     modes = [PerturbationMode(k, *amps[i], *phases[i]) for i, k in enumerate(range(2, 7))]
     return make_perturbed_circle(n, 1.0, modes)
+
+
+def run_with_blas_threads(threads: int, args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """python args in a child process whose OpenBLAS runs the given number of
+    threads, with this process's import path; OpenBLAS reads the count when
+    it loads, so each count needs a process of its own. The child must exit
+    0. kwargs go to subprocess.run (cwd, input); stdout comes back as bytes."""
+    path = os.pathsep.join(p for p in sys.path if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads)), **kwargs)
 
 
 @pytest.fixture

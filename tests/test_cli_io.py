@@ -197,6 +197,17 @@ class TestFileFormats:
             assert [u, v] == off_curve_velocity(X, np.array(point)).tolist()
             assert p == pressure_at(X, np.array(point))
 
+    def test_field_grid_states_its_ranges(self, tmp_path):
+        # a lattice built in code meets the ranges a config's does: this one
+        # wrote a field.csv that held only its header
+        from ibstring.cli_io import FieldGrid
+
+        with pytest.raises(ValueError, match="nx and ny must be >= 1"):
+            write_field_csv(tmp_path / "field.csv", make_circle(64), FieldGrid(1.0, -1.0, 0.0, 1.0, 0, 2))
+        with pytest.raises(ValueError, match="max bounds must exceed min bounds"):
+            FieldGrid(1.0, -1.0, 0.0, 1.0, 2, 2)
+        assert not (tmp_path / "field.csv").exists()
+
     def test_svg_contains_curve_and_fit(self, tmp_path):
         X = make_perturbed_circle(64, 1.0, [PerturbationMode(3, 0.1, 0.0)])
         path = tmp_path / "plot.svg"
@@ -645,6 +656,144 @@ class TestMalformedInputs:
         ))
         assert main(["simulate", str(cfg_path)]) == 1
         assert main(["field", str(cfg_path), str(snap)]) == 1
+
+
+# A config with one fault on each error path of parse_config, and the exact
+# line main prints for it: every JSON type, missing key, unknown key, range,
+# initial kind and field_grid rule. A document is the valid base below with
+# the given dotted keys set (or, for _DROP, deleted); a string is the text.
+_DROP = object()
+_BASE = {"grid_n": 64, "t_end": 0.1, "output_dir": "out", "initial": {"kind": "circle"},
+         "field_grid": {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1, "nx": 2, "ny": 2}}
+_MODES = {"kind": "perturbed_circle", "modes": [{"k": 2, "amp_x": 0.01}]}
+
+
+def _faulty(changes):
+    doc = json.loads(json.dumps(_BASE))
+    for dotted, value in changes.items():
+        *parents, key = dotted.split(".")
+        container = doc
+        for k in parents:
+            container = container.setdefault(k, {})
+        if value is _DROP:
+            del container[key]
+        else:
+            container[key] = value
+    return json.dumps(doc)
+
+
+_CONFIG_MESSAGES = [
+    # the document
+    ("not_json", "{not json",
+     "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("nan_token", '{"t_end": NaN}', "invalid JSON: non-finite number NaN is not allowed"),
+    ("top_list", "[]", "top level: expected an object"),
+    ("top_unknown", {"gridn": 64, "zeta": 1}, "top level: unknown key(s) ['gridn', 'zeta']"),
+    # grid_n
+    ("grid_n_missing", {"grid_n": _DROP}, "top level.grid_n: required field missing"),
+    ("grid_n_float", {"grid_n": 64.0}, "grid_n: expected an integer, got 64.0"),
+    ("grid_n_bool", {"grid_n": True}, "grid_n: expected an integer, got True"),
+    ("grid_n_odd", {"grid_n": 63}, "grid_n: must be even and >= 8, got 63"),
+    ("grid_n_small", {"grid_n": 6}, "grid_n: must be even and >= 8, got 6"),
+    ("grid_n_large", {"grid_n": 8194}, "grid_n: at most 8192, got 8194"),
+    # the stepper's JSON types
+    ("t_end_missing", {"t_end": _DROP}, "top level.t_end: required field missing"),
+    ("t_end_string", {"t_end": "1"}, "t_end: expected a number, got '1'"),
+    ("t_end_overflow", '{"grid_n": 64, "t_end": 1e400}', "t_end: expected a finite number"),
+    ("scheme_number", {"scheme": 3}, "scheme: expected a string, got 3"),
+    ("dt_null", {"dt": None}, "dt: expected a number, got None"),
+    ("dealias_list", {"dealias": [True]}, "dealias: expected an object"),
+    ("dealias_unknown", {"dealias.cutoff": 0.5}, "dealias: unknown key(s) ['cutoff']"),
+    ("dealias_enabled", {"dealias.enabled": "yes"}, "dealias.enabled: expected bool or 'auto', got 'yes'"),
+    ("dealias_enabled_null", {"dealias.enabled": None}, "dealias.enabled: expected bool or 'auto', got None"),
+    ("cutoff_string", {"dealias.cutoff_fraction": "0.5"},
+     "dealias.cutoff_fraction: expected a number, got '0.5'"),
+    ("floor_bool", {"dealias.krasny_floor": False}, "dealias.krasny_floor: expected a number, got False"),
+    ("lambda_abort_list", {"lambda_abort": [0.1]}, "lambda_abort: expected a number, got [0.1]"),
+    ("snapshot_every_float", {"snapshot_every": 1.5}, "snapshot_every: expected an integer, got 1.5"),
+    # the stepper's ranges, which StepperConfig states
+    ("scheme_unknown", {"scheme": "euler"}, "scheme must be one of rk4, exp_euler, got 'euler'"),
+    ("dt_zero", {"dt": 0}, "dt must be positive, got 0.0"),
+    ("t_end_negative", {"t_end": -0.1}, "t_end must be positive, got -0.1"),
+    ("dt_above_t_end", {"dt": 0.2}, "dt = 0.2 exceeds t_end = 0.1"),
+    ("t_end_not_multiple", {"dt": 0.03}, "t_end = 0.1 is not an integer multiple of dt = 0.03"),
+    ("cutoff_zero", {"dealias.cutoff_fraction": 0}, "dealias_cutoff must be in (0, 1], got 0.0"),
+    ("cutoff_above_one", {"dealias.cutoff_fraction": 1.5}, "dealias_cutoff must be in (0, 1], got 1.5"),
+    ("floor_negative", {"dealias.krasny_floor": -1}, "krasny_floor must be >= 0, got -1.0"),
+    ("lambda_abort_zero", {"lambda_abort": 0}, "lambda_abort must be positive, got 0.0"),
+    ("snapshot_every_zero", {"snapshot_every": 0}, "snapshot_every must be >= 1, got 0"),
+    # initial
+    ("initial_missing", {"initial": _DROP}, "top level.initial: required field missing"),
+    ("initial_string", {"initial": "circle"}, "initial: expected an object"),
+    ("kind_missing", {"initial.kind": _DROP}, "initial.kind: required field missing"),
+    ("kind_list", {"initial.kind": ["circle"]}, "initial.kind: expected a string, got ['circle']"),
+    ("kind_unknown", {"initial.kind": "square"}, "initial.kind: unknown kind 'square'"),
+    ("circle_unknown", {"initial.beta": 0.3}, "initial: unknown key(s) ['beta']"),
+    ("perturbed_unknown", {"initial": {"kind": "perturbed_circle", "theta": 0.1}},
+     "initial: unknown key(s) ['theta']"),
+    ("reparam_unknown", {"initial": {"kind": "reparam_circle", "center": [0, 0]}},
+     "initial: unknown key(s) ['center']"),
+    ("file_unknown", {"initial": {"kind": "file", "path": "snap.csv", "radius": 1}},
+     "initial: unknown key(s) ['radius']"),
+    ("radius_string", {"initial.radius": "1"}, "initial.radius: expected a number, got '1'"),
+    ("radius_zero", {"initial.radius": 0}, "initial.radius: must be positive, got 0.0"),
+    ("radius_negative", {"initial": {"kind": "reparam_circle", "radius": -2}},
+     "initial.radius: must be positive, got -2.0"),
+    ("theta_null", {"initial.theta": None}, "initial.theta: expected a number, got None"),
+    ("center_short", {"initial.center": [1]}, "initial.center: expected [x, y], got [1]"),
+    ("center_object", {"initial.center": {"x": 0}}, "initial.center: expected [x, y], got {'x': 0}"),
+    ("center_string_cell", {"initial.center": [0, "1"]}, "initial.center: expected a number, got '1'"),
+    ("modes_object", {"initial": {"kind": "perturbed_circle", "modes": {"k": 2}}}, "initial.modes: expected a list"),
+    ("mode_number", {"initial": {"kind": "perturbed_circle", "modes": [{"k": 2}, 3]}},
+     "initial.modes[1]: expected an object"),
+    ("mode_unknown", {"initial": {"kind": "perturbed_circle", "modes": [{"k": 2, "amp": 0.1}]}},
+     "initial.modes[0]: unknown key(s) ['amp']"),
+    ("mode_k_missing", {"initial": {"kind": "perturbed_circle", "modes": [{"amp_x": 0.1}]}},
+     "initial.modes[0].k: required field missing"),
+    ("mode_k_float", {"initial": {"kind": "perturbed_circle", "modes": [{"k": 2.0}]}},
+     "initial.modes[0].k: expected an integer, got 2.0"),
+    *[(f"mode_{key}_string", {"initial": {"kind": "perturbed_circle", "modes": [{"k": 2}, {"k": 3, key: "0"}]}},
+       f"initial.modes[1].{key}: expected a number, got '0'") for key in ("amp_x", "amp_y", "phase_x", "phase_y")],
+    ("beta_string", {"initial": {"kind": "reparam_circle", "beta": "0.3"}},
+     "initial.beta: expected a number, got '0.3'"),
+    ("beta_one", {"initial": {"kind": "reparam_circle", "beta": 1}}, "initial.beta: |beta| must be < 1, got 1.0"),
+    ("beta_below_minus_one", {"initial": {"kind": "reparam_circle", "beta": -1.5}},
+     "initial.beta: |beta| must be < 1, got -1.5"),
+    ("path_missing", {"initial": {"kind": "file"}}, "initial.path: required field missing"),
+    ("path_number", {"initial": {"kind": "file", "path": 5}}, "initial.path: expected a string, got 5"),
+    # field_grid
+    ("field_grid_list", {"field_grid": [1, 2]}, "field_grid: expected an object"),
+    ("field_grid_unknown", {"field_grid.nz": 2}, "field_grid: unknown key(s) ['nz']"),
+    *[(f"field_grid_{key}_missing", {f"field_grid.{key}": _DROP}, f"field_grid.{key}: required field missing")
+      for key in ("xmin", "xmax", "ymin", "ymax", "nx", "ny")],
+    *[(f"field_grid_{key}_string", {f"field_grid.{key}": "1"}, f"field_grid.{key}: expected a number, got '1'")
+      for key in ("xmin", "xmax", "ymin", "ymax")],
+    *[(f"field_grid_{key}_float", {f"field_grid.{key}": 2.0}, f"field_grid.{key}: expected an integer, got 2.0")
+      for key in ("nx", "ny")],
+    ("field_grid_nx_zero", {"field_grid.nx": 0}, "field_grid: nx and ny must be >= 1"),
+    ("field_grid_ny_negative", {"field_grid.ny": -3}, "field_grid: nx and ny must be >= 1"),
+    ("field_grid_too_many", {"field_grid.nx": 1000, "field_grid.ny": 251},
+     "field_grid: nx*ny at most 250000, got 251000"),
+    ("field_grid_x_reversed", {"field_grid.xmax": -1}, "field_grid: max bounds must exceed min bounds"),
+    ("field_grid_y_empty", {"field_grid.ymax": -1}, "field_grid: max bounds must exceed min bounds"),
+    ("field_grid_x_span", {"field_grid.xmin": -1e308, "field_grid.xmax": 1e308},
+     "field_grid: the spans xmax - xmin and ymax - ymin must be finite"),
+    ("field_grid_y_span", {"field_grid.ymin": -1e308, "field_grid.ymax": 1e308},
+     "field_grid: the spans xmax - xmin and ymax - ymin must be finite"),
+    ("field_grid_far", {"field_grid.xmax": 2e75}, "field_grid: bounds at most 1e+75 in magnitude, got 2e+75"),
+    # output_dir
+    ("output_dir_number", {"output_dir": 5}, "output_dir: expected a string, got 5"),
+]
+
+
+@pytest.mark.parametrize("config, message", [case[1:] for case in _CONFIG_MESSAGES],
+                         ids=[case[0] for case in _CONFIG_MESSAGES])
+def test_config_error_message(tmp_path, monkeypatch, capsys, config, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(config if isinstance(config, str) else _faulty(config))
+    assert main(["simulate", "cfg.json"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # values of every JSON type, small enough that a mutated run stays short

@@ -1,9 +1,6 @@
 """Row-blocked pair kernel against the dense (N, N) kernels it replaced."""
 
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -23,7 +20,7 @@ from ibstring import cli_io, curve
 from ibstring.curve import _BLOCK_ROWS, DegenerateCurveError, _pair_blocks
 from ibstring.stokeslet import _tau_factor
 
-from conftest import random_smooth_curve, relax_curve
+from conftest import random_smooth_curve, relax_curve, run_with_blas_threads
 
 _FOUR_PI = 4.0 * np.pi
 
@@ -215,14 +212,7 @@ class TestBlockAndBlasIndependence:
             "X = random_smooth_curve(np.random.default_rng(5), n=4096, amp=0.01)\n"
             "print(hashlib.sha256(on_curve_velocity(X).values.tobytes()).hexdigest())\n"
         )
-        path = os.pathsep.join(p for p in sys.path if p)
-        digests = {
-            subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
-            ).stdout
-            for threads in ("1", "2")
-        }
+        digests = {run_with_blas_threads(threads, ["-c", code]).stdout for threads in (1, 2)}
         assert len(digests) == 1
 
 

@@ -165,6 +165,15 @@ class TestCarriedChordBounds:
             over += assert_chord_bounds_hold(X)
         assert over
 
+    @pytest.mark.parametrize("scale", [1e-155, 1e-157])
+    def test_bounds_on_subnormal_squares_hold(self, scale):
+        # the squares of the shortest chords are subnormal, so they lost their
+        # relative accuracy to underflow: on this curve 3 (at 1e-155) and 143
+        # (at 1e-157) of their moved roots would lie above the exact chords
+        X = CurveState(GridField(relax_curve(1, 512).x.values * scale))
+        assert well_stretched_constant(X) == full_pair_well_stretched_constant(X)
+        assert_chord_bounds_hold(X)
+
     def test_every_state_shrinks_the_carried_bounds(self):
         # bounds that equal the exact chords, carried to a state where sample 0
         # moved 2^-70 towards sample k: twice that, subtracted from the bound at

@@ -4,9 +4,6 @@ import hashlib
 import inspect
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
@@ -30,7 +27,7 @@ from ibstring import (
     sample_flow,
 )
 from ibstring.cli_io import FieldGrid, read_snapshot, write_field_csv, write_snapshot
-from ibstring.spectral import derivative, fractional_laplacian_half, resample, to_spectral
+from ibstring.spectral import derivative, fractional_laplacian_half, resample_field, to_spectral
 from ibstring.stokeslet import (
     OnCurvePointError,
     _forcing_derivative_rows,
@@ -40,7 +37,7 @@ from ibstring.stokeslet import (
     _velocity_rows,
 )
 
-from conftest import random_smooth_curve, relax_curve
+from conftest import random_smooth_curve, relax_curve, run_with_blas_threads
 
 
 def on_curve_velocity_zero_gauge(X: CurveState) -> GridField:
@@ -311,7 +308,7 @@ def direct_flow(X: CurveState, points: np.ndarray, m: int) -> tuple[np.ndarray, 
     """Velocity (P, 2) and pressure (P,) by the trapezoid rule on m samples of
     the band-limited curve, one point at a time in real arithmetic, the
     velocity conditioned by b = X' at the nearest of the N samples."""
-    xs, a = resample(X.x, m), resample(X.xp, m)
+    xs, a = resample_field(X.x, m).values, resample_field(X.xp, m).values
     h = 2.0 * np.pi / m
     a2 = np.einsum("ij,ij->i", a, a)
     u, p = np.empty((len(points), 2)), np.empty(len(points))
@@ -581,14 +578,10 @@ class TestFieldAtN1000:
         config = {"grid_n": 1000, "t_end": 1.0, "output_dir": str(tmp_path / "out"), "initial": {"kind": "circle"},
                   "field_grid": {"xmin": g.xmin, "xmax": g.xmax, "ymin": g.ymin, "ymax": g.ymax, "nx": g.nx, "ny": g.ny}}
         (tmp_path / "field_1000.json").write_text(json.dumps(config))
-        path = os.pathsep.join(p for p in sys.path if p)
         rows = set()
-        for threads in ("1", "2"):
-            subprocess.run(
-                [sys.executable, "-m", "ibstring.cli_io", "field", "field_1000.json", "perturbed_1000.csv"],
-                cwd=tmp_path, capture_output=True, check=True,
-                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
-            )
+        for threads in (1, 2):
+            run_with_blas_threads(threads, ["-m", "ibstring.cli_io", "field", "field_1000.json", "perturbed_1000.csv"],
+                                  cwd=tmp_path)
             rows.add((tmp_path / "out" / "field.csv").read_bytes())
         assert len(rows) == 1 and len(rows.pop().splitlines()) == 1 + 40 * 40
 
@@ -654,14 +647,7 @@ class TestBatchedOffCurveFlow:
         )
         X = random_smooth_curve(np.random.default_rng(5), n=1024, amp=0.01)
         points = near_lattice(X)
-        path = os.pathsep.join(p for p in sys.path if p)
-        digests = {
-            subprocess.run(
-                [sys.executable, "-c", code], input=points.tobytes(), capture_output=True, check=True,
-                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
-            ).stdout
-            for threads in ("1", "2")
-        }
+        digests = {run_with_blas_threads(threads, ["-c", code], input=points.tobytes()).stdout for threads in (1, 2)}
         n = 2048
         modes = [PerturbationMode(k, 1e-2 * 10.0 ** (-8.0 * k / (n // 6))) for k in range(2, n // 2)]
         flows = [sample_flow(X, points), sample_flow(make_perturbed_circle(n, 1.0, modes), points)]
