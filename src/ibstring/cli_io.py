@@ -262,6 +262,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"initial.kind: unknown kind {kind!r}")
     # the given keys keep their places, and the defaults follow them
     initial = {**initial, **_read(initial, _INITIAL_KINDS[kind][0], "initial", frozenset({"kind"}))}
+    unaliased = _checked(lambda k: abs(k) < grid_n // 2, f"|k| must be < grid_n/2 = {grid_n // 2}")
+    for i, mode in enumerate(initial.get("modes", [])):  # a mode at or past grid_n/2 aliases onto a lower one
+        unaliased(mode["k"], f"initial.modes[{i}].k")
 
     field_grid = None
     if doc.get("field_grid") is not None:

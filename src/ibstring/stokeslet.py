@@ -484,34 +484,39 @@ def _forcing_derivative_rows(X: CurveState) -> Iterator[tuple]:
     Closed form in the quotients L = w/tau, M = d/tau of _pair_blocks' chords
     (diagonal limits X', X'') and N = (L - X'(s))/tau, with b = X'(s); its
     continuous limit on the diagonal is zero. The tau factor and 1/tau depend
-    only on s' - s, so they are tabulated once per pass.
+    only on s' - s, so they are tabulated once per pass. Each block is formed
+    by a function of its own, whose temporaries are freed before the yield.
     """
-    vp, vpp = X.xp.values, X.xpp.values
-    ax, ay = vp[:, 0], vp[:, 1]
     f_rows = _toeplitz_rows(_tau_factor(_torus_offsets(X.n)))
     inv_rows = _offset_rows(X.n)[1]
     for rows, diag, wx, wy, dx, dy, _ in _pair_blocks(X):
-        inv_tau = inv_rows[rows]
-        bx, by = vp[rows, 0, None], vp[rows, 1, None]
-        Lx, Ly, Mx, My = wx * inv_tau, wy * inv_tau, dx * inv_tau, dy * inv_tau
-        Lx[diag], Ly[diag] = vp[rows, 0], vp[rows, 1]
-        Mx[diag], My[diag] = vpp[rows, 0], vpp[rows, 1]
-        inv = 1.0 / (Lx * Lx + Ly * Ly)
-        # N = (L - X'(s))/tau off the diagonal (diagonal is overwritten to zero)
-        Nx, Ny = (Lx - bx) * inv_tau, (Ly - by) * inv_tau
-        LM, LN, La = Lx * Mx + Ly * My, Lx * Nx + Ly * Ny, Lx * ax + Ly * ay
-        Lb, NM, Na = Lx * bx + Ly * by, Nx * Mx + Ny * My, Nx * ax + Ny * ay
-        MM = Mx * Mx + My * My
-        inv2, inv3 = inv**2, inv**3
-        c_M = ((bx - Lx) * Nx + (by - Ly) * Ny) * inv - 2.0 * LN * Lb * inv2 - f_rows[rows]
-        c_b = (MM - 2.0 * NM) * inv + 2.0 * LN * LM * inv2
-        c_L = (2.0 * LM * (LM - LN) * Lb * inv3 + 2.0 * (NM - MM) * Lb * inv2 - 6.0 * LM * La * LN * inv3
-               + 2.0 * NM * La * inv2 + 2.0 * LM * Na * inv2)
-        c_N = 2.0 * LM * La * inv2
-        gx = c_M * Mx + c_b * bx + c_L * Lx + c_N * Nx
-        gy = c_M * My + c_b * by + c_L * Ly + c_N * Ny
-        gx[diag] = gy[diag] = 0.0  # continuous limit of the integrand at the diagonal
-        yield rows, gx, gy
+        yield rows, *_forcing_derivative_block(X, rows, diag, wx, wy, dx, dy, f_rows[rows], inv_rows[rows])
+
+
+def _forcing_derivative_block(X: CurveState, rows: slice, diag: tuple, wx, wy, dx, dy, f, inv_tau) -> tuple:
+    """(gx, gy) of _forcing_derivative_rows on one row block, as fresh arrays."""
+    vp, vpp = X.xp.values, X.xpp.values
+    ax, ay = vp[:, 0], vp[:, 1]
+    bx, by = vp[rows, 0, None], vp[rows, 1, None]
+    Lx, Ly, Mx, My = wx * inv_tau, wy * inv_tau, dx * inv_tau, dy * inv_tau
+    Lx[diag], Ly[diag] = vp[rows, 0], vp[rows, 1]
+    Mx[diag], My[diag] = vpp[rows, 0], vpp[rows, 1]
+    inv = 1.0 / (Lx * Lx + Ly * Ly)
+    # N = (L - X'(s))/tau off the diagonal (diagonal is overwritten to zero)
+    Nx, Ny = (Lx - bx) * inv_tau, (Ly - by) * inv_tau
+    LM, LN, La = Lx * Mx + Ly * My, Lx * Nx + Ly * Ny, Lx * ax + Ly * ay
+    Lb, NM, Na = Lx * bx + Ly * by, Nx * Mx + Ny * My, Nx * ax + Ny * ay
+    MM = Mx * Mx + My * My
+    inv2, inv3 = inv**2, inv**3
+    c_M = ((bx - Lx) * Nx + (by - Ly) * Ny) * inv - 2.0 * LN * Lb * inv2 - f
+    c_b = (MM - 2.0 * NM) * inv + 2.0 * LN * LM * inv2
+    c_L = (2.0 * LM * (LM - LN) * Lb * inv3 + 2.0 * (NM - MM) * Lb * inv2 - 6.0 * LM * La * LN * inv3
+           + 2.0 * NM * La * inv2 + 2.0 * LM * Na * inv2)
+    c_N = 2.0 * LM * La * inv2
+    gx = c_M * Mx + c_b * bx + c_L * Lx + c_N * Nx
+    gy = c_M * My + c_b * by + c_L * Ly + c_N * Ny
+    gx[diag] = gy[diag] = 0.0  # continuous limit of the integrand at the diagonal
+    return gx, gy
 
 
 def _forcing_derivative_rows_direct(X: CurveState) -> Iterator[tuple]:
@@ -522,35 +527,37 @@ def _forcing_derivative_rows_direct(X: CurveState) -> Iterator[tuple]:
     d = X'(s') - X'(s). The chord w = X(s') - X(s) and d come straight from
     the samples, not from L and M, so this form checks the simplified one
     independently. Its removable singularity is not implemented: the
-    diagonal is NaN.
+    diagonal is NaN. sin^2(tau/2) is tabulated once per pass, and each
+    block is formed by a function of its own.
     """
+    sin2_rows = _toeplitz_rows(np.sin(_torus_offsets(X.n) / 2.0) ** 2)
+    for rows, diag in _row_blocks(X.n):
+        yield rows, *_forcing_derivative_block_direct(X, rows, diag, sin2_rows[rows].copy())
+
+
+def _forcing_derivative_block_direct(X: CurveState, rows: slice, diag: tuple, sin2: np.ndarray) -> tuple:
+    """(gx, gy) of _forcing_derivative_rows_direct on one row block; sin2 is
+    the block's own copy of its sin^2(tau/2) rows."""
     v, vp = X.x.values, X.xp.values
     ax, ay = vp[:, 0], vp[:, 1]
-    tau_rows = _offset_rows(X.n)[0]
-    for rows, diag in _row_blocks(X.n):
-        tau = tau_rows[rows]
-        bx = vp[rows, 0, None]
-        by = vp[rows, 1, None]
-        wx = v[:, 0] - v[rows, 0, None]
-        wy = v[:, 1] - v[rows, 1, None]
-        dx = ax - bx
-        dy = ay - by
-        r2 = wx * wx + wy * wy
-        sin2 = np.sin(tau / 2.0) ** 2
-        r2[diag] = sin2[diag] = np.nan
-        inv = 1.0 / r2
-        wa = wx * ax + wy * ay
-        wb = wx * bx + wy * by
-        wd = wx * dx + wy * dy
-        ab = ax * bx + ay * by
-        ad = ax * dx + ay * dy
-        bd = bx * dx + by * dy
-        # the kernel part collected by vector: c_d d + c_a a + c_b b + c_w w
-        c_d = -ab * inv + 2.0 * wa * wb * inv**2 - 0.25 / sin2
-        c_a = bd * inv - 2.0 * wb * wd * inv**2
-        c_b = ad * inv - 2.0 * wa * wd * inv**2
-        c_w = -2.0 * (wb * ad + ab * wd + wa * bd) * inv**2 + 8.0 * wa * wb * wd * inv**3
-        yield rows, c_d * dx + c_a * ax + c_b * bx + c_w * wx, c_d * dy + c_a * ay + c_b * by + c_w * wy
+    bx, by = vp[rows, 0, None], vp[rows, 1, None]
+    wx, wy = v[:, 0] - v[rows, 0, None], v[:, 1] - v[rows, 1, None]
+    dx, dy = ax - bx, ay - by
+    r2 = wx * wx + wy * wy
+    r2[diag] = sin2[diag] = np.nan
+    inv = 1.0 / r2
+    wa = wx * ax + wy * ay
+    wb = wx * bx + wy * by
+    wd = wx * dx + wy * dy
+    ab = ax * bx + ay * by
+    ad = ax * dx + ay * dy
+    bd = bx * dx + by * dy
+    # the kernel part collected by vector: c_d d + c_a a + c_b b + c_w w
+    c_d = -ab * inv + 2.0 * wa * wb * inv**2 - 0.25 / sin2
+    c_a = bd * inv - 2.0 * wb * wd * inv**2
+    c_b = ad * inv - 2.0 * wa * wd * inv**2
+    c_w = -2.0 * (wb * ad + ab * wd + wa * bd) * inv**2 + 8.0 * wa * wb * wd * inv**3
+    return c_d * dx + c_a * ax + c_b * bx + c_w * wx, c_d * dy + c_a * ay + c_b * by + c_w * wy
 
 
 def forcing_derivative_quadrature(X: CurveState) -> GridField:

@@ -4,9 +4,20 @@ Each test prints one pass/fail line (visible with pytest -s or in the verify
 subcommand, which runs the same registry).
 """
 
+import numpy as np
 import pytest
 
-from ibstring.acceptance import CRITERIA, run_criterion
+from ibstring import (
+    CurveState,
+    GridField,
+    PerturbationMode,
+    make_circle,
+    make_perturbed_circle,
+    well_stretched_constant,
+)
+from ibstring import acceptance
+from ibstring.acceptance import CRITERIA, random_smooth_curve, run_criterion
+from ibstring.stokeslet import _forcing_derivative_rows_direct
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[f"c{c.number:02d}_{c.title.replace(' ', '_')}" for c in CRITERIA])
@@ -15,3 +26,55 @@ def test_acceptance_criterion(criterion):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {result.number:2d} ({result.title}): {result.detail}")
     assert result.passed, f"criterion {result.number} ({result.title}): {result.detail}"
+
+
+# criterion 5 reduces its pair comparison block by block; a non-finite pair
+# anywhere must still fail it, and the NaN diagonal of the direct form must not
+
+def test_c5_reads_every_off_diagonal_pair():
+    assert acceptance._c5_integrand_algebra() == (
+        True, "max |simplified - direct| over all 652800 off-diagonal pairs of 10 curves: 1.01e-14 (< 1e-10)")
+
+
+@pytest.mark.parametrize("value, column", [(np.nan, 1), (np.inf, 1), (np.nan, 2), (-np.inf, 2)],
+                         ids=["nan_x", "inf_x", "nan_y", "minus_inf_y"])
+def test_c5_fails_on_one_non_finite_pair(monkeypatch, value, column):
+    curves = []
+
+    def direct_rows(X):
+        # the fourth curve's third block, local row 5 (pair 69, 200)
+        curves.append(X)
+        for i, block in enumerate(_forcing_derivative_rows_direct(X)):
+            if len(curves) == 4 and i == 2:
+                block = list(block)
+                block[column] = block[column].copy()
+                block[column][5, 200] = value
+            yield tuple(block)
+
+    monkeypatch.setattr(acceptance, "_forcing_derivative_rows_direct", direct_rows)
+    passed, detail = acceptance._c5_integrand_algebra()
+    assert len(curves) == 10 and not passed and "652800" in detail
+
+
+def three_circle_curve(rng, n: int, amp: float, min_lambda: float = 0.3) -> CurveState:
+    """random_smooth_curve built as three circles per draw: the perturbed
+    circle minus the unit circle, added to the posed circle, with each mode's
+    amplitudes and phases drawn one number at a time."""
+    while True:
+        modes = [PerturbationMode(k, rng.uniform(-amp, amp), rng.uniform(-amp, amp),
+                                  rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)) for k in range(2, 7)]
+        pert = make_perturbed_circle(n, 1.0, modes).x.values.copy()
+        pert -= make_circle(n).x.values
+        base = make_circle(n, 1.0, rng.uniform(0, 2 * np.pi), rng.uniform(-0.5, 0.5, size=2))
+        X = CurveState(GridField(base.x.values + pert))
+        if well_stretched_constant(X) > min_lambda:
+            return X
+
+
+@pytest.mark.parametrize("seed, n, amp, draws", [(7, 128, 0.01, 100), (8, 128, 0.01, 100), (5, 1024, 0.05, 1)],
+                         ids=["criterion_7", "criterion_8", "n1024"])
+def test_random_smooth_curve_is_the_three_circle_build(seed, n, amp, draws):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        assert np.array_equal(random_smooth_curve(rng, n, amp).x.values, three_circle_curve(ref, n, amp).x.values)
+    assert rng.uniform() == ref.uniform()  # the same numbers drawn

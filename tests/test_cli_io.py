@@ -752,6 +752,12 @@ _CONFIG_MESSAGES = [
      "initial.modes[0].k: required field missing"),
     ("mode_k_float", {"initial": {"kind": "perturbed_circle", "modes": [{"k": 2.0}]}},
      "initial.modes[0].k: expected an integer, got 2.0"),
+    # a mode at or past grid_n/2 would alias onto a lower one (k = 34 onto 30, 1000 onto 24 at grid_n 64)
+    *[(f"mode_k_{name}", {"initial": {"kind": "perturbed_circle", "modes": [{"k": 2}, {"k": k, "amp_x": 0.01}]}},
+       f"initial.modes[1].k: |k| must be < grid_n/2 = 32, got {k}")
+      for name, k in (("nyquist", 32), ("minus_nyquist", -32), ("34", 34), ("1000", 1000))],
+    ("mode_k_aliased_at_grid_n_8", {"grid_n": 8, "initial": {"kind": "perturbed_circle", "modes": [{"k": 4}]}},
+     "initial.modes[0].k: |k| must be < grid_n/2 = 4, got 4"),
     *[(f"mode_{key}_string", {"initial": {"kind": "perturbed_circle", "modes": [{"k": 2}, {"k": 3, key: "0"}]}},
        f"initial.modes[1].{key}: expected a number, got '0'") for key in ("amp_x", "amp_y", "phase_x", "phase_y")],
     ("beta_string", {"initial": {"kind": "reparam_circle", "beta": "0.3"}},
@@ -794,6 +800,12 @@ def test_config_error_message(tmp_path, monkeypatch, capsys, config, message):
     assert main(["simulate", "cfg.json"]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid_n, k", [(64, 31), (64, -31), (64, 0), (8, 3)])
+def test_modes_below_half_the_grid_are_read(grid_n, k):
+    cfg = parse_config(_faulty({"grid_n": grid_n, "initial": {"kind": "perturbed_circle", "modes": [{"k": k}]}}))
+    assert cfg.initial["modes"][0]["k"] == k
 
 
 # values of every JSON type, small enough that a mutated run stays short

@@ -196,6 +196,11 @@ class TestPhaseSearch:
     def test_all_criterion_8_members(self):
         assert_search_is_dense_scan(criterion_8_members(100))
 
+    def test_phase_i_is_the_linspace_value(self):
+        # the search forms phase i as i (2 pi / 100,000) and stores no other
+        phases = np.linspace(0.0, 2 * np.pi, 100_000, endpoint=False)
+        assert np.array_equal(np.arange(100_000) * (2 * np.pi / 100_000), phases)
+
     @pytest.mark.parametrize("n", [64, 128, 256])
     def test_exact_circles(self, n):
         # the minimum is at rounding level and the bound is tight: sqrt O is

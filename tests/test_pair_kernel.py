@@ -10,13 +10,14 @@ from ibstring import (
     CurveState,
     GridField,
     StepperConfig,
+    closest_equilibrium,
     forcing_derivative_quadrature,
     make_reparam_circle,
     on_curve_velocity,
     run,
     well_stretched_constant,
 )
-from ibstring import cli_io, curve
+from ibstring import acceptance, cli_io, curve
 from ibstring.curve import _BLOCK_ROWS, DegenerateCurveError, _pair_blocks
 from ibstring.stokeslet import _tau_factor
 
@@ -254,6 +255,28 @@ class TestBlockedKernelGuards:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_criterion_5_reduces_each_block_as_it_arrives(self):
+        # all 652,800 pair gaps of its 10 curves, kept to one max, took 11.3 MB
+        tracemalloc.start()
+        try:
+            passed, _ = acceptance._c5_integrand_algebra()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passed and peak < 3e6
+
+    def test_phase_search_stores_only_the_phases_it_evaluates(self):
+        # a value per phase of the 100,000 and their angles took 2.6 MB
+        X = random_smooth_curve(np.random.default_rng(8), 128, amp=0.01)  # criterion 8's first member
+        fit = closest_equilibrium(X)
+        tracemalloc.start()
+        try:
+            acceptance._theta_grid_search(X, fit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 # ---------------------------------------------------------------------------

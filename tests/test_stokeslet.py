@@ -292,10 +292,10 @@ def curve_at(X: CurveState, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 def foot_distance(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distance of each point to the band-limited curve and |X'| at its foot
-    point, by Newton steps on (X(s) - x).X'(s) = 0 from the nearest sample."""
+    point, by Newton steps on (X(s) - x).X'(s) = 0 from the nearest sample
+    (all_pairs_nearest)."""
     z = points[:, 0] + 1j * points[:, 1]
-    v = X.x.values[:, 0] + 1j * X.x.values[:, 1]
-    s = X.s[np.argmin(np.abs(v[None, :] - z[:, None]), axis=1)]
+    s = X.s[all_pairs_nearest(X, points)[0]]
     for _ in range(8):
         xi, dxi, ddxi = curve_at(X, s)
         r = xi - z
@@ -306,24 +306,36 @@ def foot_distance(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def direct_flow(X: CurveState, points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Velocity (P, 2) and pressure (P,) by the trapezoid rule on m samples of
-    the band-limited curve, one point at a time in real arithmetic, the
-    velocity conditioned by b = X' at the nearest of the N samples."""
+    the band-limited curve in real arithmetic, the velocity conditioned by
+    b = X' at the nearest of the N samples (all_pairs_nearest). Each term is
+    the one a loop over single points forms; blocks of points share each
+    operation over chunks of up to 8192 samples, and each point sums its
+    terms pairwise within a chunk, the chunks in order."""
     xs, a = resample_field(X.x, m).values, resample_field(X.xp, m).values
+    samples = np.vstack([xs.T, a.T, np.einsum("ij,ij->i", a, a)])  # x, y, a_x, a_y and |a|^2 by sample
+    b = X.xp.values[all_pairs_nearest(X, points)[0]]
+    u, p = np.zeros((len(points), 2)), np.zeros(len(points))
+    chunk = min(m, 2**13)
+    step = 2**13 // chunk
+    for lo in range(0, len(points), step):
+        (x, y), (bx, by) = points[lo:lo + step].T[..., None], b[lo:lo + step].T[..., None]
+        for j in range(0, m, chunk):
+            sx, sy, ax, ay, a2 = samples[:, j:j + chunk]
+            wx, wy, dx, dy = sx - x, sy - y, ax - bx, ay - by
+            r2 = wx * wx + wy * wy
+            r4 = r2 * r2  # r2**2
+            wa, wd, ad = wx * ax + wy * ay, wx * dx + wy * dy, ax * dx + ay * dy
+            c_d, c_a, c_w, wa2 = wa / r2, wd / r2, ad / r2, 2.0 * wa
+            c_2 = wa2 * wd / r4  # 2 wa wd / r2**2, as doubling is exact
+            for k, (dk, ak, wk) in enumerate(((dx, ax, wx), (dy, ay, wy))):
+                term = c_d * dk
+                term -= c_a * ak
+                term -= c_w * wk
+                term += c_2 * wk
+                u[lo:lo + step, k] += np.sum(term, axis=1)
+            p[lo:lo + step] += np.sum(a2 / r2 - wa2 * wa / r4, axis=1)
     h = 2.0 * np.pi / m
-    a2 = np.einsum("ij,ij->i", a, a)
-    u, p = np.empty((len(points), 2)), np.empty(len(points))
-    for i, x in enumerate(points):
-        d2 = np.einsum("ij,ij->i", X.x.values - x, X.x.values - x)
-        w = xs - x
-        r2 = np.einsum("ij,ij->i", w, w)
-        d = a - X.xp.values[np.argmin(d2)]
-        wa, wd = np.einsum("ij,ij->i", w, a), np.einsum("ij,ij->i", w, d)
-        ad = np.einsum("ij,ij->i", a, d)
-        term = (wa / r2)[:, None] * d - (wd / r2)[:, None] * a - (ad / r2)[:, None] * w
-        term += (2.0 * wa * wd / r2**2)[:, None] * w
-        u[i] = h * term.sum(axis=0) / (4.0 * np.pi)
-        p[i] = h * np.sum(a2 / r2 - 2.0 * wa**2 / r2**2) / (2.0 * np.pi)
-    return u, p
+    return h * u / (4.0 * np.pi), h * p / (2.0 * np.pi)
 
 
 def dense_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,27 +353,55 @@ def dense_flow(X: CurveState, points: np.ndarray) -> tuple[np.ndarray, np.ndarra
     off at M = 64). The pressure is left out of the check: near the curve
     its sum's own rounding (terms up to h/d^2) lies above 1e-13 at any M.
     Points nearer than 5e-5 |X'| would need more than 1024 N samples and
-    are refused.
+    are refused. The sums run level by level, from the smallest M up, over
+    every point that starts at or is still doubling through that M.
     """
     dist, speed = foot_distance(X, points)
     assert np.all(dist >= 5e-5 * speed)
-    m = np.maximum(X.n // 2, 2 ** np.ceil(np.log2(24.0 * speed / dist))).astype(int)
+    start = np.maximum(X.n // 2, 2 ** np.ceil(np.log2(24.0 * speed / dist))).astype(int)
     u, p = np.empty((len(points), 2)), np.empty(len(points))
-    for mm in np.unique(m):
-        u[m == mm], p[m == mm] = direct_flow(X, points[m == mm], int(mm))
+    last = np.full((len(points), 2), np.nan)  # each point's velocity at the level below
     size = np.max(np.abs(X.x.values - np.mean(X.x.values, axis=0)))
-    todo = np.arange(len(points))
-    while todo.size:
-        assert m.max() <= 2048 * X.n
-        agree = np.zeros(len(points), dtype=bool)
-        groups = m[todo]
-        for mm in np.unique(groups):
-            rows = todo[groups == mm]
-            u2, p2 = direct_flow(X, points[rows], 2 * int(mm))
-            agree[rows] = np.max(np.abs(u2 - u[rows]), axis=1) <= 1e-13 * size
-            u[rows], p[rows], m[rows] = u2, p2, 2 * mm
-        todo = todo[~agree[todo]]
+    todo, m = np.ones(len(points), dtype=bool), start.min()
+    while todo.any():
+        assert m <= 4096 * X.n
+        rows = np.flatnonzero(todo & (start <= m))
+        u[rows], p[rows] = direct_flow(X, points[rows], int(m))
+        todo[rows[np.max(np.abs(u[rows] - last[rows]), axis=1) <= 1e-13 * size]] = False
+        last[rows], m = u[rows], 2 * m
     return u, p
+
+
+def pointwise_direct_flow(X: CurveState, points: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """direct_flow as a loop over single points: each point's terms as one
+    (m, 2) array, the velocity's summed in order along the samples and the
+    pressure's pairwise."""
+    xs, a = resample_field(X.x, m).values, resample_field(X.xp, m).values
+    h = 2.0 * np.pi / m
+    a2 = np.einsum("ij,ij->i", a, a)
+    u, p = np.empty((len(points), 2)), np.empty(len(points))
+    for i, (x, b) in enumerate(zip(points, X.xp.values[all_pairs_nearest(X, points)[0]])):
+        w, d = xs - x, a - b
+        r2 = np.einsum("ij,ij->i", w, w)
+        wa, wd = np.einsum("ij,ij->i", w, a), np.einsum("ij,ij->i", w, d)
+        ad = np.einsum("ij,ij->i", a, d)
+        term = (wa / r2)[:, None] * d - (wd / r2)[:, None] * a - (ad / r2)[:, None] * w
+        term += (2.0 * wa * wd / r2**2)[:, None] * w
+        u[i] = h * term.sum(axis=0) / (4.0 * np.pi)
+        p[i] = h * np.sum(a2 / r2 - 2.0 * wa**2 / r2**2) / (2.0 * np.pi)
+    return u, p
+
+
+@pytest.mark.parametrize("m", [512, 16384])
+def test_blocked_oracle_is_the_point_loop(m):
+    # the blocks change only the order of each point's sums over the samples
+    X = relax_curve(1)
+    points = np.vstack([field_lattice(6), *(midway_points(X, 1e-3, side, 97)[0] for side in (1.0, -1.0))])
+    u, p = direct_flow(X, points, m)
+    ref_u, ref_p = pointwise_direct_flow(X, points, m)
+    size = np.max(np.abs(X.x.values - np.mean(X.x.values, axis=0)))
+    assert np.max(np.abs(u - ref_u)) <= 1e-13 * size
+    assert np.all(np.abs(p - ref_p) <= 1e-12 * np.maximum(1.0, np.abs(ref_p)))
 
 
 def near_lattice(X: CurveState) -> np.ndarray:
