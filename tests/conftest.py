@@ -15,16 +15,19 @@ from ibstring import CurveState, PerturbationMode, make_perturbed_circle
 from ibstring.acceptance import random_band_limited, random_smooth_curve  # noqa: F401
 
 
-def relax_curve(seed: int, n: int = 1024) -> CurveState:
-    """The seeded perturbed circle of the relax_n1024 and field_n1024 benchmark
-    inputs: modes k = 2..6 whose absolute amplitudes sum to between 0.025 and
-    0.05."""
+def relax_modes(seed: int) -> list[PerturbationMode]:
+    """The seeded modes of the relax_n1024 and field_n1024 benchmark inputs:
+    k = 2..6, with absolute amplitudes that sum to between 0.025 and 0.05."""
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-1.0, 1.0, size=(5, 2))
     amps = raw * (rng.uniform(0.025, 0.05) / np.abs(raw).sum())
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(5, 2))
-    modes = [PerturbationMode(k, *amps[i], *phases[i]) for i, k in enumerate(range(2, 7))]
-    return make_perturbed_circle(n, 1.0, modes)
+    return [PerturbationMode(k, *amps[i], *phases[i]) for i, k in enumerate(range(2, 7))]
+
+
+def relax_curve(seed: int, n: int = 1024) -> CurveState:
+    """The seeded perturbed circle of the relax_n1024 and field_n1024 benchmark inputs."""
+    return make_perturbed_circle(n, 1.0, relax_modes(seed))
 
 
 def run_with_blas_threads(threads: int, args: list[str], **kwargs) -> subprocess.CompletedProcess:

@@ -1,0 +1,72 @@
+"""Short seeded runs and a field lattice against the reference files under
+tests/data/reference (make_reference_outputs.py), column by column.
+
+Each column is judged on its own scale:
+- the O(1) diagnostics energy .. dist_h52: the largest |reference| in the column;
+- theta_star and x*: the curve's scale, 1, since they are rounding-level
+  near zero (1e-19 to 1e-5) on these near-circles;
+- the field's u, v and p: max(1, |reference|) row by row;
+- everything else (t, s, the snapshot's x and y, the lattice's x and y): 1.
+Run with -s to see the largest deviation of every column.
+"""
+
+import numpy as np
+import pytest
+
+from make_reference_outputs import REFERENCE, generate
+
+# Largest deviation allowed on a column's scale, taken from the spread that
+# perturbing every input sample by up to 1 ulp causes. On the runs that
+# spread is at most 4.6e-15 (dissipation; 16 perturbed runs), so BOUND
+# admits ulp-level moves of reordered arithmetic and fails a move of 1e-12
+# in any column. The field's pressure near the curve is a derivative of a
+# Cauchy integral a fraction of a grid spacing from it: there the spread is
+# up to 1.1e-12 (p; u and v 1.4e-13; 30 perturbed snapshots), and the field
+# rows take FIELD_BOUND.
+BOUND = 1e-13
+FIELD_BOUND = 1e-11
+
+O1_COLUMNS = ("energy", "dissipation", "lambda", "radius", "area", "dist_h1", "dist_h52")
+FIELD_COLUMNS = ("u", "v", "p")
+
+
+def read_columns(path):
+    """(column names, rows) of a diagnostics, snapshot or field file."""
+    lines = path.read_text().splitlines()
+    header = ["s", "x", "y"] if lines[0].startswith("#") else lines[0].split(",")
+    return header, np.array([line.split(",") for line in lines[1:]], dtype=float)
+
+
+def deviations(columns, ref, new):
+    """The largest deviation of every column of new from ref, each on its scale."""
+    out = {}
+    for j, col in enumerate(columns):
+        if col in O1_COLUMNS:
+            scale = np.max(np.abs(ref[:, j]))
+        elif col in FIELD_COLUMNS:
+            scale = np.maximum(1.0, np.abs(ref[:, j]))
+        else:
+            scale = 1.0
+        out[col] = float(np.max(np.abs(new[:, j] - ref[:, j]) / scale))
+    return out
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reference")
+    return out, generate(out)
+
+
+def test_reference_files_are_complete(fresh):
+    assert sorted(fresh[1]) == sorted(p.name for p in REFERENCE.glob("*.csv"))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in REFERENCE.glob("*.csv")))
+def test_matches_reference(fresh, name):
+    columns, ref = read_columns(REFERENCE / name)
+    new_columns, new = read_columns(fresh[0] / name)
+    assert new_columns == columns and new.shape == ref.shape
+    assert np.all(np.isfinite(ref)) and np.all(np.isfinite(new))
+    dev = deviations(columns, ref, new)
+    print(f"\n{name}: " + ", ".join(f"{col} {d:.2e}" for col, d in dev.items()))
+    assert max(dev.values()) <= (FIELD_BOUND if name.startswith("field") else BOUND), dev
