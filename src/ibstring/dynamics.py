@@ -17,7 +17,8 @@ The truncated curve and the padded velocity are seeded fields
 (spectral.resample_field), which keep the coefficients they were built from
 as their transform, and the fit distances are read from the state's own
 transform (equilibrium.fit_distance); a relax_n1024 state thus costs five
-FFTs at N and four at N_c (see README).
+real FFTs at N (one rfft, four irfft) and four at N_c (three irfft, one
+rfft; see README).
 
 Each state's well-stretched pass starts from the chord bounds the last
 observed state's pass left (CurveState.seed_well_stretched), so it evaluates

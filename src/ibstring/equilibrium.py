@@ -23,7 +23,6 @@ from .spectral import (
     hilbert_transform,
     sobolev_seminorm,
     spectrum_seminorm,
-    to_spectral,
 )
 
 __all__ = [
@@ -63,8 +62,8 @@ class EquilibriumFit:
 def closest_equilibrium(Y: CurveState) -> EquilibriumFit:
     """Fit the closest equilibrium circle to a positively oriented curve."""
     radius = effective_radius(Y)
-    coeffs = to_spectral(Y.x)
-    x_star = np.real(coeffs[0])
+    coeffs = Y.x.spectrum[:2] / Y.n
+    x_star = coeffs[0].real
     c = complex(coeffs[1, 0] + 1j * coeffs[1, 1])
     degenerate = abs(c) < 1e-12 * radius
     theta_star = 0.0 if degenerate else float(np.angle(c) % (2.0 * np.pi))
@@ -109,16 +108,14 @@ def fit_distance(Y: CurveState, fit: EquilibriumFit, order: float) -> float:
     """Homogeneous Sobolev distance between Y and its fitted equilibrium.
 
     Y* = x* + R (cos(s + theta*), sin(s + theta*)) has only the modes 0 and
-    +-1, so the transform of Y - Y* is Y's spectrum memo with those three
-    rows less Y*'s coefficients N x*, (N R/2) e^{i theta*} (1, -i) and their
-    conjugate: no circle is sampled and nothing is transformed.
+    +-1, so the half transform of Y - Y* is Y's spectrum memo with rows 0
+    and 1 less Y*'s coefficients N x* and (N R/2) e^{i theta*} (1, -i): no
+    circle is sampled and nothing is transformed.
     """
     n = Y.n
-    rot = 0.5 * n * fit.radius * np.exp(1j * fit.theta_star)
     dev = Y.x.spectrum.copy()
     dev[0] -= n * fit.x_star
-    dev[1] -= rot * np.array([1.0, -1j])
-    dev[-1] -= np.conj(rot) * np.array([1.0, 1j])
+    dev[1] -= 0.5 * n * fit.radius * np.exp(1j * fit.theta_star) * np.array([1.0, -1j])
     return spectrum_seminorm(dev, order)
 
 

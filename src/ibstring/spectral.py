@@ -1,19 +1,21 @@
 """Fourier toolkit on the 1-D torus [0, 2pi).
 
 Real 2-vector fields are sampled at s_j = 2*pi*j/N. Coefficients follow the
-analytic Fourier series convention f(s) = sum_k f_hat_k e^{iks} (i.e.
-fft(values)/N in numpy's layout), with wavenumbers k in {-N/2, ..., N/2 - 1}.
-All multiplier operators act mode by mode; the k = -N/2 (Nyquist) coefficient
-is zeroed by operators whose multiplier would make it imaginary (Hilbert
+analytic Fourier series convention f(s) = sum_k f_hat_k e^{iks}, with
+wavenumbers k in {-N/2, ..., N/2 - 1}. A real field's coefficients satisfy
+f_hat_{-k} = conj(f_hat_k), so the package keeps only the half k = 0 .. N/2
+(rfft(values)/N), and every operator returns to samples by one irfft. All
+multiplier operators act mode by mode; the N/2 (Nyquist) coefficient is real
+and is zeroed by operators whose multiplier would make it imaginary (Hilbert
 transform, odd-order derivatives), so operator identities hold exactly on
 fields band-limited below Nyquist.
 
-Every operator reads a field's transform from its memo, GridField.spectrum,
-so each field is transformed at most once. A field built from samples
-computes the memo on first read. A field built from coefficients
-(resample_field) is seeded with them: its memo is the cut or zero-padded
-transform of its source, made Hermitian, which equals fft(values) up to
-rounding. Only this module sets the memo.
+Every operator reads a field's half transform from its memo,
+GridField.spectrum, so each field is transformed at most once. A field built
+from samples computes the memo on first read. A field built from
+coefficients (resample_field) is seeded with them: its memo is the cut or
+zero-padded half transform of its source, whose irfft its samples are. Only
+this module sets the memo.
 """
 
 from __future__ import annotations
@@ -74,9 +76,10 @@ class GridField:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Read-only (N, 2) unscaled transform fft(values, axis=0), computed on
-        first read; a field from resample_field holds its seeded coefficients."""
-        c = np.fft.fft(self.values, axis=0)
+        """Read-only (N/2 + 1, 2) unscaled half transform rfft(values, axis=0),
+        rows k = 0 .. N/2, computed on first read; a field from resample_field
+        holds its seeded coefficients."""
+        c = np.fft.rfft(self.values, axis=0)
         c.flags.writeable = False
         return c
 
@@ -98,8 +101,10 @@ class GridField:
 def to_spectral(f: GridField) -> np.ndarray:
     """Read-only (N, 2) complex coefficients fft(values)/N, in numpy fft
     order: row k multiplies e^{iks}, so a constant field c has row 0 = c.
-    Linear, and the exact inverse of from_spectral."""
-    c = f.spectrum / f.n
+    The memo's half, with rows N - k the conjugates of rows k. Linear, and
+    the exact inverse of from_spectral."""
+    half = f.spectrum / f.n
+    c = np.concatenate([half, np.conj(half[-2:0:-1])])
     c.flags.writeable = False
     return c
 
@@ -117,15 +122,14 @@ def mean(f: GridField) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _wavenumbers(n: int) -> np.ndarray:
-    """Read-only integer wavenumbers in fft order, shared by every operator at N."""
-    k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    """Read-only wavenumbers 0 .. N/2 of the half transform, shared by every operator at N."""
+    k = np.arange(n // 2 + 1)
     k.flags.writeable = False
     return k
 
 
 def _apply_multiplier(f: GridField, mult: np.ndarray) -> GridField:
-    c = f.spectrum * mult[:, None]
-    return GridField(np.real(np.fft.ifft(c, axis=0)))
+    return GridField(np.fft.irfft(f.spectrum * mult[:, None], axis=0))
 
 
 def derivative(f: GridField, m: int) -> GridField:
@@ -145,8 +149,7 @@ def derivative(f: GridField, m: int) -> GridField:
 
 def fractional_laplacian_half(f: GridField) -> GridField:
     """Half Laplacian, multiplier |k|; annihilates the mean."""
-    k = _wavenumbers(f.n)
-    return _apply_multiplier(f, np.abs(k).astype(float))
+    return _apply_multiplier(f, _wavenumbers(f.n).astype(float))
 
 
 def hilbert_transform(f: GridField) -> GridField:
@@ -156,7 +159,7 @@ def hilbert_transform(f: GridField) -> GridField:
     band-limited below Nyquist (the Nyquist mode is zeroed).
     """
     k = _wavenumbers(f.n)
-    mult = -1j * np.sign(k).astype(float)
+    mult = -1j * np.sign(k)
     mult[f.n // 2] = 0.0
     return _apply_multiplier(f, mult)
 
@@ -166,7 +169,7 @@ def semigroup_apply(f: GridField, t: float) -> GridField:
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     k = _wavenumbers(f.n)
-    return _apply_multiplier(f, np.exp(-np.abs(k) * t / 4.0))
+    return _apply_multiplier(f, np.exp(-k * t / 4.0))
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -187,39 +190,30 @@ def semigroup_phi1(f: GridField, t: float) -> GridField:
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     k = _wavenumbers(f.n)
-    return _apply_multiplier(f, _phi1(-np.abs(k) * t / 4.0))
+    return _apply_multiplier(f, _phi1(-k * t / 4.0))
 
 
 def resample_field(f: GridField, m: int) -> GridField:
-    """f on m >= 8 samples, band-limited: its spectrum zero-padded for m > N,
-    which is exact, or cut to the modes -m/2 .. m/2 - 1 for m < N. m = N
+    """f on m >= 8 samples, band-limited: its half spectrum zero-padded for
+    m > N, which is exact, or cut to the modes 0 .. m/2 for m < N. m = N
     returns f, with no FFT round trip.
 
     The field is seeded with its coefficients, so no forward FFT of its
-    values is needed. The real part of the inverse transform keeps the
-    Hermitian part of the coefficients, so the seed is made Hermitian, which
-    is what fft(values) gives up to rounding: on truncation the entry at the
-    new Nyquist slot -m/2 keeps its real part; on padding f's Nyquist
-    coefficient is split in halves over -N/2 and N/2.
+    values is needed. The last mode both have, min(N, m)/2, is a Nyquist
+    mode, whose coefficient stands for k and -k at once; it is kept real,
+    and on padding, where it becomes an ordinary mode k of the m samples, it
+    is halved.
     """
     n = f.n
     if m == n:
         return f
     if m < 8 or m % 2:
         raise ValueError(f"sample count must be even and >= 8, got {m}")
-    cm = np.zeros((m, 2), dtype=complex)
     half = min(n, m) // 2
-    cm[:half] = f.spectrum[:half]
-    cm[m - half:] = f.spectrum[n - half:]
-    cm /= n
-    cm *= m
-    values = np.fft.ifft(cm, axis=0).real
-    if m < n:
-        cm[m // 2] = cm[m // 2].real
-    else:
-        cm[m - n // 2] /= 2.0
-        cm[n // 2] = np.conj(cm[m - n // 2])
-    out = GridField(values)
+    cm = np.zeros((m // 2 + 1, 2), dtype=complex)
+    cm[: half + 1] = f.spectrum[: half + 1] * (m / n)
+    cm[half] = cm[half].real if m < n else cm[half].real / 2.0
+    out = GridField(np.fft.irfft(cm, axis=0))
     cm.flags.writeable = False
     out.__dict__["spectrum"] = cm  # the memo cached_property would fill
     return out
@@ -228,8 +222,8 @@ def resample_field(f: GridField, m: int) -> GridField:
 def mode_amplitudes(f: GridField) -> np.ndarray:
     """|f_hat_k| for k = 0 .. N/2, the Euclidean norm of the 2-vector
     coefficient, so a rotation of the field leaves it unchanged; read from
-    the first half of f's transform."""
-    c = f.spectrum[: f.n // 2 + 1] / f.n
+    f's half transform."""
+    c = f.spectrum / f.n
     power = c.real**2 + c.imag**2
     return np.sqrt(power[:, 0] + power[:, 1])  # a sum over the short axis is ~8x slower
 
@@ -273,15 +267,17 @@ def sobolev_seminorm(f: GridField, s: float) -> float:
 
 
 def spectrum_seminorm(spectrum: np.ndarray, s: float) -> float:
-    """sobolev_seminorm of the field whose unscaled (N, 2) transform, in
-    GridField.spectrum's layout, is spectrum."""
+    """sobolev_seminorm of the field whose unscaled (N/2 + 1, 2) half
+    transform, in GridField.spectrum's layout, is spectrum. The modes
+    0 < k < N/2 count twice, for k and -k."""
     if s < 0:
         raise ValueError(f"order must be nonnegative, got {s}")
-    n = len(spectrum)
+    n = 2 * (len(spectrum) - 1)
     c = spectrum / n
-    k = np.abs(_wavenumbers(n)).astype(float)
-    weights = np.ones_like(k) if s == 0 else k**s
-    total = np.sum(weights[:, None] ** 2 * np.abs(c) ** 2)
+    k = _wavenumbers(n).astype(float)
+    weights = (np.ones_like(k) if s == 0 else k**s) ** 2
+    weights[1:-1] *= 2.0
+    total = np.sum(weights[:, None] * np.abs(c) ** 2)
     return float(np.sqrt(2.0 * np.pi * total))
 
 
@@ -300,7 +296,6 @@ def dealias(
     if krasny_floor < 0:
         raise ValueError(f"krasny_floor must be nonnegative, got {krasny_floor}")
     c = f.spectrum / f.n
-    k = np.abs(_wavenumbers(f.n))
-    c[k > cutoff_fraction * f.n / 2.0] = 0.0
+    c[_wavenumbers(f.n) > cutoff_fraction * f.n / 2.0] = 0.0
     c[np.abs(c) < krasny_floor] = 0.0
-    return GridField(np.real(np.fft.ifft(c * f.n, axis=0)))
+    return GridField(np.fft.irfft(c * f.n, axis=0))

@@ -36,7 +36,7 @@ from .curve import (
     _torus_offsets,
     _workspace,
 )
-from .spectral import GridField, band_samples, fractional_laplacian_half, resample_field, resolved_band, to_spectral
+from .spectral import GridField, band_samples, fractional_laplacian_half, resample_field, resolved_band
 
 __all__ = [
     "OnCurvePointError",
@@ -230,10 +230,11 @@ def _cauchy_setup(X: CurveState) -> _CauchySetup:
         (phi, np.column_stack([w, phi * w[:, None]]), shift)  # q: den and the two numerators of Phi
         for phi, shift in ((outer + orientation * g, 0.0), (outer, orientation * 2.0 * np.pi))
     )
-    spec = to_spectral(X.x)
-    coef = spec[:, 0] + 1j * spec[:, 1]
-    modes = np.arange(-min(band, X.n // 2 - 1), min(band, X.n // 2 - 1) + 1)
-    c = coef[modes]
+    k = min(band, X.n // 2 - 1)
+    half = X.x.spectrum[: k + 1] / X.n
+    coef = np.concatenate([np.conj(half[:0:-1]), half])  # modes -k .. k, the negative ones as conjugates
+    modes = np.arange(-k, k + 1)
+    c = coef[:, 0] + 1j * coef[:, 1]
     foot = np.stack([c, 1j * modes * c, -(modes * modes) * c]).T  # X, X', X'' from e^{iks}
     samples = _complex(X.x.values)
     disc_center = np.mean(samples)

@@ -47,15 +47,18 @@ def rng():
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """(transform, sample count) of every numpy FFT call, in order; only
+    """(transform, sample count) of every numpy FFT call, in order; the
+    count is the length of a forward transform's input and of an inverse
+    one's output, so an rfft and an irfft of N samples both count N. Only
     ibstring.spectral calls numpy's FFT, so these are the package's."""
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         transform = getattr(np.fft, name)
 
         def counted(a, *args, _name=name, _transform=transform, **kwargs):
-            calls.append((_name, len(a)))
-            return _transform(a, *args, **kwargs)
+            out = _transform(a, *args, **kwargs)
+            calls.append((_name, len(out) if _name.startswith("i") else len(a)))
+            return out
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls

@@ -33,7 +33,7 @@ def test_acceptance_criterion(criterion):
 
 def test_c5_reads_every_off_diagonal_pair():
     assert acceptance._c5_integrand_algebra() == (
-        True, "max |simplified - direct| over all 652800 off-diagonal pairs of 10 curves: 1.01e-14 (< 1e-10)")
+        True, "max |simplified - direct| over all 652800 off-diagonal pairs of 10 curves: 1.20e-14 (< 1e-10)")
 
 
 @pytest.mark.parametrize("value, column", [(np.nan, 1), (np.inf, 1), (np.nan, 2), (-np.inf, 2)],

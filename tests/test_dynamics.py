@@ -458,10 +458,12 @@ class TestResolvedVelocity:
         # every FFT of a relax_n1024 run, by sample count: per state one
         # forward transform of X at N, inverse ones for X', X'', the padded
         # velocity and phi1; at N_c the truncated curve, its X' and X'' take
-        # inverse transforms only, and the velocity one forward
+        # inverse transforms only, and the velocity one forward. The curve
+        # is real, so each is a real transform: an rfft or an irfft
         res = run(relax_curve(1), StepperConfig(dt=1e-2, t_end=0.4, snapshot_every=10))
         states = len(res.rows)
         sizes = [n for _, n in fft_calls]
         assert states == 41
+        assert {name for name, _ in fft_calls} == {"rfft", "irfft"}
         assert sizes.count(1024) <= 5 * states
         assert sizes.count(128) <= 4 * states

@@ -135,7 +135,7 @@ class TestClosestEquilibrium:
         (c8,) = [c for c in CRITERIA if c.number == 8]
         assert run_criterion(c8).detail == (
             "max |theta* - grid search| over 10 members: 2.27e-05 rad (< 1e-4); "
-            "max first-order residual over 100: 5.77e-15 (< 1e-10)"
+            "max first-order residual over 100: 5.79e-15 (< 1e-10)"
         )
 
     def test_degenerate_flag(self):

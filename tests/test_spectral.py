@@ -332,58 +332,62 @@ def test_mode_amplitudes_rotation_invariant():
 # ---------------------------------------------------------------------------
 
 def _direct_multiplier(v, mult):
-    c = np.fft.fft(v, axis=0)
+    c = np.fft.rfft(v, axis=0)
     c *= mult[:, None]
-    return np.real(np.fft.ifft(c, axis=0))
+    return np.fft.irfft(c, axis=0)
+
+
+def _direct_full(v):
+    c = np.fft.rfft(v, axis=0) / len(v)
+    return np.concatenate([c, np.conj(c[-2:0:-1])])
 
 
 def _direct_resample(v, m):
     n = len(v)
-    c = np.fft.fft(v, axis=0) / n
-    cm = np.zeros((m, 2), dtype=complex)
     half = min(n, m) // 2
-    cm[:half] = c[:half]
-    cm[m - half:] = c[n - half:]
-    cm *= m
-    return np.fft.ifft(cm, axis=0).real
+    cm = np.zeros((m // 2 + 1, 2), dtype=complex)
+    cm[: half + 1] = np.fft.rfft(v, axis=0)[: half + 1] * (m / n)
+    cm[half] = cm[half].real if m < n else cm[half].real / 2.0
+    return np.fft.irfft(cm, axis=0)
 
 
 def _direct_sobolev(v, s):
     n = len(v)
-    c = np.fft.fft(v, axis=0) / n
-    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    weights = np.ones_like(k) if s == 0 else k**s
-    return float(np.sqrt(2.0 * np.pi * np.sum(weights[:, None] ** 2 * np.abs(c) ** 2)))
+    c = np.fft.rfft(v, axis=0) / n
+    k = np.arange(n // 2 + 1.0)
+    weights = (np.ones_like(k) if s == 0 else k**s) ** 2
+    weights[1:-1] *= 2.0  # the modes 0 < k < N/2 stand for +-k
+    return float(np.sqrt(2.0 * np.pi * np.sum(weights[:, None] * np.abs(c) ** 2)))
 
 
 def _direct_dealias(v):
     n = len(v)
-    c = np.fft.fft(v, axis=0) / n
-    c[np.abs(np.fft.fftfreq(n, d=1.0 / n)) > (2.0 / 3.0) * n / 2.0] = 0.0
+    c = np.fft.rfft(v, axis=0) / n
+    c[np.arange(n // 2 + 1) > (2.0 / 3.0) * n / 2.0] = 0.0
     c[np.abs(c) < 1e-13] = 0.0
-    return np.real(np.fft.ifft(c * n, axis=0))
+    return np.fft.irfft(c * n, axis=0)
 
 
 def _direct_amplitudes(v):
-    c = np.fft.fft(v, axis=0)[: len(v) // 2 + 1] / len(v)
+    c = np.fft.rfft(v, axis=0) / len(v)
     return np.sqrt(np.sum(c.real**2 + c.imag**2, axis=1))
 
 
-_K = np.fft.fftfreq(64, d=1.0 / 64)
-_ODD = np.where(np.arange(64) == 32, 0.0, 1.0)  # odd multipliers zero the Nyquist mode
+_K = np.arange(33.0)  # the wavenumbers 0 .. N/2 of the half transform at N = 64
+_ODD = np.where(_K == 32, 0.0, 1.0)  # odd multipliers zero the Nyquist mode
 
-# each memo consumer with the np.fft formula it used before the memo, on N = 64
+# each memo consumer with its direct rfft/irfft formula, on N = 64
 MEMO_CONSUMERS = {
-    "to_spectral": (to_spectral, lambda v: np.fft.fft(v, axis=0) / 64),
+    "to_spectral": (to_spectral, _direct_full),
     "derivative_1": (lambda f: derivative(f, 1).values, lambda v: _direct_multiplier(v, 1j * _K * _ODD)),
     "derivative_2": (lambda f: derivative(f, 2).values, lambda v: _direct_multiplier(v, (1j * _K) ** 2)),
     "derivative_3": (lambda f: derivative(f, 3).values, lambda v: _direct_multiplier(v, (1j * _K) ** 3 * _ODD)),
-    "half_laplacian": (lambda f: fractional_laplacian_half(f).values, lambda v: _direct_multiplier(v, np.abs(_K))),
+    "half_laplacian": (lambda f: fractional_laplacian_half(f).values, lambda v: _direct_multiplier(v, _K)),
     "hilbert": (lambda f: hilbert_transform(f).values, lambda v: _direct_multiplier(v, -1j * np.sign(_K) * _ODD)),
     "semigroup": (lambda f: semigroup_apply(f, 0.3).values,
-                  lambda v: _direct_multiplier(v, np.exp(-np.abs(_K) * 0.3 / 4.0))),
+                  lambda v: _direct_multiplier(v, np.exp(-_K * 0.3 / 4.0))),
     "phi1": (lambda f: semigroup_phi1(f, 0.3).values,
-             lambda v: _direct_multiplier(v, spectral._phi1(-np.abs(_K) * 0.3 / 4.0))),
+             lambda v: _direct_multiplier(v, spectral._phi1(-_K * 0.3 / 4.0))),
     "resample_down": (lambda f: resample_field(f, 16).values, lambda v: _direct_resample(v, 16)),
     "resample_up": (lambda f: resample_field(f, 256).values, lambda v: _direct_resample(v, 256)),
     "sobolev_0": (lambda f: sobolev_seminorm(f, 0.0), lambda v: _direct_sobolev(v, 0.0)),
@@ -394,11 +398,11 @@ MEMO_CONSUMERS = {
 }
 
 
-_FFT = np.fft.fft  # bound at import, so the test's own transforms escape fft_calls
+_RFFT = np.fft.rfft  # bound at import, so the test's own transforms escape fft_calls
 
 
 def forward(calls):
-    return [n for name, n in calls if name == "fft"]
+    return [(name, n) for name, n in calls if name in ("fft", "rfft")]
 
 
 class TestSpectrumMemo:
@@ -413,11 +417,11 @@ class TestSpectrumMemo:
     def test_spectrum_is_read_only_and_computed_once(self, rng, fft_calls):
         f = GridField(rng.normal(size=(64, 2)))
         c = f.spectrum
-        assert np.array_equal(c, _FFT(f.values, axis=0)) and c.dtype == complex
+        assert np.array_equal(c, _RFFT(f.values, axis=0)) and c.dtype == complex and c.shape == (33, 2)
         for consumer, _ in MEMO_CONSUMERS.values():
             consumer(f)
         assert f.spectrum is c
-        assert forward(fft_calls) == [64]
+        assert forward(fft_calls) == [("rfft", 64)]
         with pytest.raises(ValueError):
             c[0, 0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -428,21 +432,22 @@ class TestSpectrumMemo:
     @pytest.mark.parametrize("n, m", [(64, 16), (64, 32), (1024, 128), (64, 128), (64, 256), (128, 1024)])
     def test_seeded_field_is_its_own_transform_within_rounding(self, rng, fft_calls, n, m):
         # white noise fills every mode, so the cut or padded Nyquist entry is
-        # far from zero and a non-Hermitian seed would miss by O(1) there
+        # far from zero, and a seed that kept its imaginary part on a cut or
+        # did not halve it on padding would miss by O(1) there
         f = GridField(rng.normal(size=(n, 2)))
         expected = _direct_resample(f.values, m)
         fft_calls.clear()
         g = resample_field(f, m)
-        assert forward(fft_calls) == [n]  # f's own transform, none of the values
+        assert forward(fft_calls) == [("rfft", n)]  # f's own transform, none of the values
         assert np.array_equal(g.values, expected)
         seed = g.spectrum
-        assert not seed.flags.writeable and seed.shape == (m, 2)
-        direct = _FFT(g.values, axis=0)
+        assert not seed.flags.writeable and seed.shape == (m // 2 + 1, 2)
+        direct = _RFFT(g.values, axis=0)
         scale = np.max(np.abs(direct))
         assert np.min(np.abs(direct[min(n, m) // 2])) > 0.01 * scale
         assert np.max(np.abs(seed - direct)) <= 8 * np.finfo(float).eps * scale
         derivative(g, 1)
-        assert forward(fft_calls) == [n]
+        assert forward(fft_calls) == [("rfft", n)]
 
     def test_resample_field_at_its_own_count_is_the_field(self, rng):
         f = GridField(rng.normal(size=(64, 2)))

@@ -24,6 +24,33 @@ def test_only_spectral_calls_numpy_fft():
     assert lines_matching(r"np\.fft|numpy\.fft", skip="spectral.py") == []
 
 
+def complex_transform_sites(tree: ast.AST) -> list[str]:
+    """The innermost function (or <module>) around every np.fft.fft and
+    np.fft.ifft in tree, in source order."""
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in ("fft", "ifft")
+                    and isinstance(child.value, ast.Attribute) and child.value.attr == "fft"):
+                sites.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_only_from_spectral_takes_a_complex_transform():
+    # every field is real, so the memo is the half transform and the
+    # operators invert it by irfft; only from_spectral takes any (N, 2) array
+    spectral = next(p for p in MODULES if p.name == "spectral.py")
+    assert complex_transform_sites(ast.parse(spectral.read_text())) == ["from_spectral"]
+    assert complex_transform_sites(ast.parse("def f(a):\n    return np.fft.fft(np.fft.ifft(a))")) == ["f", "f"]
+
+
 def spectrum_writes(path: Path) -> list[str]:
     """Statements that assign, delete or setattr a `spectrum` attribute, or
     touch an instance __dict__."""
