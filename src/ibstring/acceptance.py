@@ -385,7 +385,7 @@ def _c11_lambda_persistence():
     ]
     worst = np.inf
     for X0, cfg in runs:
-        res = run(X0, cfg)  # raises on abort, which would fail the criterion
+        res = run(X0, cfg)  # an abort raises, and run_criterion reports it as a FAIL
         lam0 = res.rows[0].well_stretched
         worst = min(worst, min(r.well_stretched for r in res.rows) / lam0)
     return worst >= 0.5, f"min lambda(t)/lambda(0) over the standard runs: {worst:.3f} (>= 0.5), no aborts"
@@ -496,28 +496,27 @@ CRITERIA = [
 
 
 def run_criterion(c: Criterion) -> CheckResult:
+    """Run one check; a check that raises fails, with the exception as its detail."""
     start = time.perf_counter()
-    passed, detail = c.fn()
+    try:
+        passed, detail = c.fn()
+    except Exception as exc:
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
     return CheckResult(c.number, c.title, passed, detail, time.perf_counter() - start)
 
 
 def run_suite(full: bool, stream=None) -> list[CheckResult]:
+    """Run the invariants, numbered -1 .. -4, then the criteria, printing each
+    check's line as it finishes."""
     stream = stream or sys.stdout
+    invariants = [Criterion(-(i + 1), title, True, fn) for i, (title, fn) in enumerate(INVARIANTS)]
     results = []
-    for i, (title, fn) in enumerate(INVARIANTS):
-        start = time.perf_counter()
-        passed, detail = fn()
-        r = CheckResult(-(i + 1), title, passed, detail, time.perf_counter() - start)
-        results.append(r)
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] invariants ({r.title}): {r.detail}", file=stream)
-    for c in CRITERIA:
-        if not full and not c.quick:
-            continue
+    for c in invariants + [c for c in CRITERIA if full or c.quick]:
         r = run_criterion(c)
         results.append(r)
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] criterion {r.number:2d} ({r.title}): {r.detail} [{r.seconds:.1f}s]", file=stream)
+        line = (f"invariants ({r.title}): {r.detail}" if r.number < 0
+                else f"criterion {r.number:2d} ({r.title}): {r.detail} [{r.seconds:.1f}s]")
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {line}", file=stream)
     print(
         f"{sum(r.passed for r in results)}/{len(results)} checks passed"
         + ("" if full else " (quick subset; use --full for all)"),

@@ -10,8 +10,8 @@ A run gives every stage and every diagnostics row one evaluator: the pair sum
 on the curve truncated to the fewest samples it needs, N_c, a power of two set
 by a spectral tail test on the state alone (see _resolved_velocity and
 README), zero-padded back to N. A run restarted from any of its states thus
-reproduces it bitwise. The evaluator keeps the last state's velocity, which a
-step's first stage reuses.
+reproduces it bitwise. The run observes each state with its velocity, and the
+step from that state takes the same velocity as its first stage.
 
 The truncated curve and the padded velocity are seeded fields
 (spectral.resample_field), which keep the coefficients they were built from
@@ -20,8 +20,8 @@ transform (equilibrium.fit_distance); a relax_n1024 state thus costs five
 real FFTs at N (one rfft, four irfft) and four at N_c (three irfft, one
 rfft; see README).
 
-Each state's well-stretched pass starts from the chord bounds the last
-observed state's pass left (CurveState.seed_well_stretched), so it evaluates
+Each state's well-stretched pass starts from the chord bounds the previous
+state's pass left (CurveState.seed_well_stretched), so it evaluates
 a few torus offsets where a pass from scratch evaluates about 45 at N = 1024.
 The bounds hold arrays only, and lambda is bitwise the full pass's whatever
 they hold, so a restarted run still reproduces the run.
@@ -238,32 +238,37 @@ def _resolved_velocity(X: CurveState) -> GridField:
 def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
     """Integrate to t_end, emitting one diagnostics row per step boundary.
 
-    Snapshots are stored every cfg.snapshot_every steps (raw samples, exactly
-    restartable). Aborts with LambdaAbortError when the well-stretched
-    constant drops below the threshold and with NonFiniteError on blow-up.
+    Iteration k >= 1 advances the previous state by one step, then the dealias
+    filter when it is active; every iteration observes its state at t = k dt.
+    Snapshots are stored every cfg.snapshot_every steps and at the last one
+    (raw samples, exactly restartable). Aborts with LambdaAbortError when the
+    well-stretched constant drops below the threshold and with NonFiniteError
+    on blow-up.
     """
     n_steps = round(cfg.t_end / cfg.dt)  # a positive integer, by StepperConfig
     threshold = cfg.lambda_abort  # None until row 0 gives half its well-stretched constant
     filtering = cfg.dealias_active()
-    last = (None, None)  # the last state and its velocity
-    observed = None  # the last observed state, whose chord bounds seed the next lambda pass
-
-    def velocity(X: CurveState) -> GridField:
-        nonlocal last
-        if last[0] is not X:
-            last = (X, _resolved_velocity(X))
-        return last[1]
-
-    def observe(t: float, X: CurveState) -> None:
+    X, u = initial, None  # the current state and its velocity
+    rows: list[DiagnosticsRow] = []
+    snapshots: list[tuple[int, float, CurveState]] = [(0, 0.0, X)]
+    for step in range(n_steps + 1):
+        t = step * cfg.dt
         # degeneracy (self-intersection, orientation flip) is a regime exit,
-        # reported through the same channel as the threshold abort; X' and X''
-        # are first computed here, so their overflow is a blow-up of the step
-        nonlocal threshold, observed
-        if observed is not None:
-            X.seed_well_stretched(observed)
-        observed = X
+        # reported through the same channel as the threshold abort; a stepped
+        # state's X' and X'' are first computed when it is observed, so their
+        # overflow is a blow-up of the step
         try:
-            row = diagnostics_row(t, X, velocity(X))
+            if step:
+                # the first stage takes the velocity the previous state was observed with
+                prev = X
+                X = SCHEMES[cfg.scheme](prev, cfg.dt, lambda Y: u if Y is prev else _resolved_velocity(Y))
+                if filtering:
+                    X = CurveState(dealias(X.x, cfg.dealias_cutoff, cfg.krasny_floor))
+                X.seed_well_stretched(prev)
+                if step % cfg.snapshot_every == 0 or step == n_steps:
+                    snapshots.append((step, t, X))
+            u = _resolved_velocity(X)
+            row = diagnostics_row(t, X, u)
         except (OrientationError, DegenerateCurveError) as exc:
             if threshold is None:  # row 0 failed before it could set the default
                 threshold = 0.5 * well_stretched_constant(X)
@@ -275,25 +280,4 @@ def run(initial: CurveState, cfg: StepperConfig) -> RunResult:
             threshold = 0.5 * row.well_stretched
         if row.well_stretched < threshold:
             raise LambdaAbortError(t, row.well_stretched, threshold, rows)
-
-    X = initial
-    rows: list[DiagnosticsRow] = []
-    snapshots: list[tuple[int, float, CurveState]] = [(0, 0.0, X)]
-    for step in range(n_steps):
-        t = step * cfg.dt
-        observe(t, X)
-        try:
-            X = SCHEMES[cfg.scheme](X, cfg.dt, velocity)
-            if filtering:
-                X = CurveState(dealias(X.x, cfg.dealias_cutoff, cfg.krasny_floor))
-        except DegenerateCurveError as exc:
-            raise LambdaAbortError(t + cfg.dt, 0.0, threshold, rows) from exc
-        except NonFiniteFieldError as exc:
-            raise NonFiniteError(t + cfg.dt, rows) from exc
-        if (step + 1) % cfg.snapshot_every == 0:
-            snapshots.append((step + 1, (step + 1) * cfg.dt, X))
-    t_final = n_steps * cfg.dt
-    observe(t_final, X)
-    if snapshots[-1][0] != n_steps:
-        snapshots.append((n_steps, t_final, X))
     return RunResult(rows=rows, snapshots=snapshots, final=X)

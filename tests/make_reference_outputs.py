@@ -7,7 +7,8 @@ dt = 0.01, and its diagnostics.csv and last snapshot are kept as
 n{N}_{scheme}_diagnostics.csv and n{N}_{scheme}_snapshot.csv. field_n1024.csv
 is `ibstring field` on the 40 x 40 lattice of
 test_cli_runs.test_field_at_n1024, around the last exp_euler snapshot at
-N = 1024.
+N = 1024. verify_full.txt is the report of `ibstring verify --full` with its
+[x.xs] timings stripped.
 
 Rewrite the committed files from the repository root with
     PYTHONPATH=src python tests/make_reference_outputs.py
@@ -18,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import shutil
 import sys
 import tempfile
@@ -29,6 +31,7 @@ from ibstring.cli_io import main
 from conftest import relax_modes
 
 REFERENCE = Path(__file__).parent / "data" / "reference"
+VERIFY_REPORT = REFERENCE / "verify_full.txt"
 SIZES = (256, 1024)
 SCHEMES = ("exp_euler", "rk4")
 FIELD_GRID = {"xmin": -1.6, "xmax": 1.6, "ymin": -1.6, "ymax": 1.6, "nx": 40, "ny": 40}
@@ -58,7 +61,17 @@ def generate(out: Path) -> list[str]:
     return names + ["field_n1024.csv"]
 
 
+def verify_report() -> str:
+    """The report of `ibstring verify --full`, without its [x.xs] timings."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--full"]) == 0
+    return re.sub(r" \[[0-9.]+s\]$", "", out.getvalue(), flags=re.M)
+
+
 if __name__ == "__main__":
     REFERENCE.mkdir(parents=True, exist_ok=True)
     for name in generate(REFERENCE):
         print(REFERENCE / name, file=sys.stderr)
+    VERIFY_REPORT.write_text(verify_report())
+    print(VERIFY_REPORT, file=sys.stderr)

@@ -4,6 +4,8 @@ Each test prints one pass/fail line (visible with pytest -s or in the verify
 subcommand, which runs the same registry).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,16 +18,48 @@ from ibstring import (
     well_stretched_constant,
 )
 from ibstring import acceptance
-from ibstring.acceptance import CRITERIA, random_smooth_curve, run_criterion
+from ibstring.acceptance import CRITERIA, INVARIANTS, random_smooth_curve, run_criterion
+from ibstring.cli_io import main
+from ibstring.dynamics import LambdaAbortError
 from ibstring.stokeslet import _forcing_derivative_rows_direct
+
+from test_reference_outputs import report_mismatches
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[f"c{c.number:02d}_{c.title.replace(' ', '_')}" for c in CRITERIA])
 def test_acceptance_criterion(criterion):
     result = run_criterion(criterion)
     status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] criterion {result.number:2d} ({result.title}): {result.detail}")
+    line = f"[{status}] criterion {result.number:2d} ({result.title}): {result.detail}"
+    print(line)
     assert result.passed, f"criterion {result.number} ({result.title}): {result.detail}"
+    assert report_mismatches(line) == []
+
+
+def test_a_check_that_raises_fails_and_the_suite_goes_on(monkeypatch, capsys):
+    # criterion 1 raises; every criterion records that it ran
+    ran = []
+
+    def recorded(c):
+        def fn():
+            ran.append(c.number)
+            if c.number == 1:
+                raise LambdaAbortError(0.5, 0.25, 0.3, [])
+            return c.fn()
+
+        return dataclasses.replace(c, fn=fn)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [recorded(c) for c in CRITERIA])
+    assert main(["verify"]) == 5
+    lines = capsys.readouterr().out.splitlines()
+    quick = [c.number for c in CRITERIA if c.quick]
+    assert [line for line in lines if not line.startswith("[PASS]")] == [
+        "[FAIL] criterion  1 (equilibrium steadiness): raised LambdaAbortError: well-stretched constant 0.25 "
+        "fell below threshold 0.3 at t = 0.5 [0.0s]",
+        f"{len(INVARIANTS) + len(quick) - 1}/{len(INVARIANTS) + len(quick)} checks passed "
+        "(quick subset; use --full for all)",
+    ]
+    assert ran == quick and len(lines) == len(INVARIANTS) + len(quick) + 1
 
 
 # criterion 5 reduces its pair comparison block by block; a non-finite pair

@@ -29,7 +29,7 @@ from ibstring import (
     well_stretched_constant,
 )
 from ibstring import dynamics, equilibrium
-from ibstring.curve import OrientationError
+from ibstring.curve import DegenerateCurveError, OrientationError
 from ibstring.dynamics import LambdaAbortError, NonFiniteError, diagnostics_row
 from ibstring.equilibrium import fit_distance
 from ibstring.spectral import (
@@ -272,8 +272,47 @@ class TestRunLoop:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
             run(make_perturbed_circle(64, 1.0, [PerturbationMode(2, 1e-2, 0.0)]), cfg)
         assert isinstance(info.value.__cause__, NonFiniteFieldError)
-        assert info.value.t == pytest.approx(0.02)
+        assert info.value.t == 2 * 0.01
         assert [row.t for row in info.value.rows] == [0.0, 0.01]
+
+    @pytest.mark.parametrize("error, reported", [(DegenerateCurveError, LambdaAbortError),
+                                                 (NonFiniteFieldError, NonFiniteError)])
+    def test_failure_inside_a_step_is_reported_at_its_step(self, monkeypatch, error, reported):
+        # the third step raises: the run has observed t = 0, dt and 2 dt, and
+        # reports the failure at the step boundary the step was to reach
+        dt, steps, cause = 1e-2, [], error("step 3")
+
+        def failing_step(X, dt, velocity):
+            steps.append(X)
+            if len(steps) == 3:
+                raise cause
+            return step_exp_euler(X, dt, velocity)
+
+        monkeypatch.setitem(dynamics.SCHEMES, "exp_euler", failing_step)
+        with pytest.raises(reported) as info:
+            run(make_perturbed_circle(64, 1.0, [PerturbationMode(2, 1e-2, 0.0)]), StepperConfig(dt=dt, t_end=0.05))
+        assert info.value.__cause__ is cause
+        assert info.value.t == 3 * dt
+        assert [row.t for row in info.value.rows] == [0.0, dt, 2 * dt]
+        if reported is LambdaAbortError:
+            assert info.value.threshold == 0.5 * info.value.rows[0].well_stretched
+
+    def test_rk4_first_stage_takes_the_observed_velocity(self, monkeypatch):
+        # every state is observed with one velocity, which its step's first
+        # stage takes; stages 2 to 4 each evaluate their own
+        calls = []
+        resolved = dynamics._resolved_velocity
+
+        def counted(X):
+            calls.append(X)
+            return resolved(X)
+
+        monkeypatch.setattr(dynamics, "_resolved_velocity", counted)
+        steps = 5
+        X0 = make_perturbed_circle(64, 1.0, [PerturbationMode(2, 1e-2, 0.0)])
+        res = run(X0, StepperConfig(scheme="rk4", dt=1e-2, t_end=steps * 1e-2))
+        assert len(res.rows) == steps + 1
+        assert len(calls) == 4 * steps + 1
 
     def test_other_stepper_value_error_propagates(self, monkeypatch):
         # only non-finite samples count as blow-up; any other ValueError is a bug

@@ -8,12 +8,20 @@ Each column is judged on its own scale:
 - the field's u, v and p: max(1, |reference|) row by row;
 - everything else (t, s, the snapshot's x and y, the lattice's x and y): 1.
 Run with -s to see the largest deviation of every column.
+
+The report of `verify --full` is compared check by check: the invariants
+here, each criterion in test_acceptance.test_acceptance_criterion.
 """
+
+import io
+import re
 
 import numpy as np
 import pytest
 
-from make_reference_outputs import REFERENCE, generate
+from ibstring import acceptance
+
+from make_reference_outputs import REFERENCE, VERIFY_REPORT, generate
 
 # Largest deviation allowed on a column's scale, taken from the spread that
 # perturbing every input sample by up to 1 ulp causes. On the runs that
@@ -70,3 +78,62 @@ def test_matches_reference(fresh, name):
     dev = deviations(columns, ref, new)
     print(f"\n{name}: " + ", ".join(f"{col} {d:.2e}" for col, d in dev.items()))
     assert max(dev.values()) <= (FIELD_BOUND if name.startswith("field") else BOUND), dev
+
+
+# A line of the verify report must match its reference line as text once
+# every figure is masked. A figure above ROUNDING (a rate, slope, residual,
+# gap or margin) must print the same digits. One at or below it is a
+# rounding-level defect, drift or gap, which an ulp-level change of the
+# arithmetic moves: it may grow to ROUNDING_GROWTH times its reference (the
+# move to real transforms grew them 1.2 to 24 times).
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+ROUNDING = 1e-12
+ROUNDING_GROWTH = 100.0
+
+
+def check_name(line: str) -> str:
+    """`criterion  5 (title)` or `invariants (title)` of a report line."""
+    return line.split("] ", 1)[1].split(": ", 1)[0]
+
+
+def report_mismatches(line: str) -> list[str]:
+    """How a fresh report line departs from the reference line of its check."""
+    ref = next(r for r in VERIFY_REPORT.read_text().splitlines()[:-1] if check_name(r) == check_name(line))
+    if NUMBER.sub("#", line) != NUMBER.sub("#", ref):
+        return [f"{line!r} against {ref!r}"]
+    return [
+        f"{new} against {old}" for old, new in zip(NUMBER.findall(ref), NUMBER.findall(line))
+        if (new != old if abs(float(old)) > ROUNDING else abs(float(new)) > ROUNDING_GROWTH * abs(float(old)))
+    ]
+
+
+def test_verify_reference_names_every_check():
+    lines = VERIFY_REPORT.read_text().splitlines()
+    assert [check_name(line) for line in lines[:-1]] == (
+        [f"invariants ({title})" for title, _ in acceptance.INVARIANTS]
+        + [f"criterion {c.number:2d} ({c.title})" for c in acceptance.CRITERIA]
+    )
+    assert all(line.startswith("[PASS] ") for line in lines[:-1])
+    assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+
+
+def test_invariants_match_the_verify_reference(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", [])
+    report = io.StringIO()
+    acceptance.run_suite(full=True, stream=report)
+    lines = report.getvalue().splitlines()[:-1]
+    assert len(lines) == len(acceptance.INVARIANTS)
+    for line in lines:
+        print(line)
+        assert report_mismatches(line) == []
+
+
+def test_report_figures_are_held_to_their_digits_or_their_rounding_level():
+    ref = "[PASS] criterion  1 (equilibrium steadiness): max|u| = 9.73e-15 (< 1e-10), diagnostic drift over t=1: 4.12e-14 (< 1e-9)"
+    assert report_mismatches(ref) == []
+    assert report_mismatches(ref.replace("4.12e-14", "4.11e-12")) == []
+    assert report_mismatches(ref.replace("4.12e-14", "4.13e-12")) == ["4.13e-12 against 4.12e-14"]
+    assert report_mismatches(ref.replace("9.73e-15", "0.00e+00")) == []
+    assert report_mismatches(ref.replace("(< 1e-10)", "(< 2e-10)")) == ["2e-10 against 1e-10"]
+    assert report_mismatches(ref.replace("[PASS]", "[FAIL]")) != []
+    assert report_mismatches(ref.replace("t=1", "t=1 ")) != []

@@ -1,6 +1,6 @@
 """Rules on the package's source that keep one implementation per decision:
-the spectral memo, the CLI's public surface and the rounding discipline of
-the exact pruned searches."""
+the spectral memo, the CLI's public surface, the rounding discipline of the
+exact pruned searches and the run loop's failure map."""
 
 import ast
 import re
@@ -95,3 +95,23 @@ def test_cli_io_imports_no_private_name():
 def test_only_curve_names_the_rounding_constants():
     # the other searches move their bounds through curve._safe and curve._kept
     assert lines_matching(r"\b(_MARGIN|_PRUNE_FLOOR)\b", skip="curve.py") == []
+
+
+def handled_exceptions(tree: ast.AST) -> list[str]:
+    """The exception names of every except handler in tree, one entry per
+    handler that names it."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names += [t.id for t in types if isinstance(t, ast.Name)]
+    return names
+
+
+def test_run_maps_each_failure_in_one_handler():
+    # a failure inside a step and one in the observation of its state take
+    # the same handler, so they cannot be reported two ways
+    dynamics = next(p for p in MODULES if p.name == "dynamics.py")
+    names = handled_exceptions(ast.parse(dynamics.read_text()))
+    failures = ("OrientationError", "DegenerateCurveError", "NonFiniteFieldError")
+    assert {name: names.count(name) for name in failures} == dict.fromkeys(failures, 1)
